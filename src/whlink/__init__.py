@@ -7,7 +7,7 @@ the spin 5-manifolds compatible with that order.  All arithmetic is exact.
 """
 
 from .cover import CoverLink, build_cover, cover_divisor, cover_weights, diagnose_cover
-from .divisor import OrlikDivisor, lam, relation_holds, unit_root_multiset
+from .divisor import OrlikDivisor, lam, relation_holds
 from .errors import (
     ConsistencyError,
     CoprimalityError,
@@ -40,13 +40,12 @@ from .realization import (
     FamilyMember,
     RealizationCertificate,
     family_member,
-    iter_integral_genus_systems,
     realize,
     search_weight_systems,
 )
-from .smale import SmaleManifold, is_unique_realization, smale_decompositions
+from .smale import SmaleManifold, smale_decompositions
 from .verify import VerificationReport, run_verification
-from .weights import WeightedCurve, WeightSystem
+from .weights import WeightSystem
 
 __version__ = "0.1.0"
 
@@ -59,7 +58,6 @@ __all__ = [
     "OrlikDivisor",
     "lam",
     "relation_holds",
-    "unit_root_multiset",
     "ConsistencyError",
     "CoprimalityError",
     "CrossCheckError",
@@ -89,15 +87,12 @@ __all__ = [
     "FamilyMember",
     "RealizationCertificate",
     "family_member",
-    "iter_integral_genus_systems",
     "realize",
     "search_weight_systems",
     "SmaleManifold",
-    "is_unique_realization",
     "smale_decompositions",
     "VerificationReport",
     "run_verification",
-    "WeightedCurve",
     "WeightSystem",
     "__version__",
 ]

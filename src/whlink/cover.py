@@ -23,8 +23,8 @@ from .errors import (
     CoprimalityError,
     CrossCheckError,
     InputError,
-    NonIntegralDivisorError,
     TwoPathMismatchError,
+    require_int,
 )
 from .invariants import (
     MAX_POLY_DEGREE,
@@ -64,26 +64,32 @@ class CoverLink:
         }
 
 
-def cover_weights(base: WeightSystem, k: int) -> WeightSystem:
-    """Weight system (d, k w_1, k w_2, k w_3; k d) of the k-fold cover."""
+_EXPONENT = "cover exponent must be an integer greater than 1"
+
+
+def _adjoin_power(base: WeightSystem, k: int) -> WeightSystem:
+    """Weight system (d, k w_1, k w_2, k w_3; k d) of base + z_0^k, any k > 1."""
     if base.n != 3:
         raise InputError("covers are built over 3-variable weight systems")
-    if not isinstance(k, int) or isinstance(k, bool) or k < 2:
-        raise InputError(f"cover exponent must be an integer greater than 1, got {k!r}")
-    if gcd(base.degree, k) != 1:
-        raise CoprimalityError(
-            f"cover exponent {k} must be coprime to the degree {base.degree}"
-        )
+    require_int(k, 2, _EXPONENT)
     d = base.degree
     return WeightSystem((d,) + tuple(k * w for w in base.weights), k * d)
 
 
+def cover_weights(base: WeightSystem, k: int) -> WeightSystem:
+    """Weight system of the k-fold cover, for k coprime to the degree."""
+    system = _adjoin_power(base, k)
+    if gcd(base.degree, k) != 1:
+        raise CoprimalityError(
+            f"cover exponent {k} must be coprime to the degree {base.degree}"
+        )
+    return system
+
+
 def cover_divisor(base_div: OrlikDivisor, k: int) -> OrlikDivisor:
     """Divisor of the cover: (lam(k) - 1) times the base divisor."""
-    if not isinstance(k, int) or isinstance(k, bool) or k < 2:
-        raise InputError(f"cover exponent must be an integer greater than 1, got {k!r}")
-    if not base_div.is_integral():
-        raise NonIntegralDivisorError(f"base divisor must be integral: {base_div!r}")
+    require_int(k, 2, _EXPONENT)
+    base_div.require_integral("a cover divisor")
     return (lam(k) - 1) * base_div
 
 
@@ -149,11 +155,6 @@ def diagnose_cover(
     gcd(d, k) > 1 the cover need not be a rational homology sphere, so the
     returned record may carry a positive multiplicity and no torsion order.
     """
-    if base.n != 3:
-        raise InputError("covers are built over 3-variable weight systems")
-    if not isinstance(k, int) or isinstance(k, bool) or k < 2:
-        raise InputError(f"cover exponent must be an integer greater than 1, got {k!r}")
-    d = base.degree
-    system = WeightSystem((d,) + tuple(k * w for w in base.weights), k * d)
+    system = _adjoin_power(base, k)
     div = milnor_orlik_divisor(system)
     return system, invariants_from_divisor(div, max_poly_degree=max_poly_degree)

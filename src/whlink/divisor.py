@@ -20,7 +20,6 @@ two divisors are equal exactly when their canonical term maps are equal.
 
 from __future__ import annotations
 
-from collections import Counter
 from fractions import Fraction
 from math import gcd
 
@@ -29,6 +28,7 @@ from .errors import (
     NonIntegralDivisorError,
     PoleAtOneError,
     ZeroAtOneError,
+    require_int,
 )
 
 _Scalar = (int, Fraction)
@@ -60,10 +60,7 @@ class OrlikDivisor:
         if terms is not None:
             items = terms.items() if hasattr(terms, "items") else terms
             for j, c in items:
-                if not isinstance(j, int) or isinstance(j, bool) or j < 1:
-                    raise InvalidIndexError(
-                        f"generator index must be a positive integer, got {j!r}"
-                    )
+                require_int(j, 1, "generator index must be a positive integer", InvalidIndexError)
                 if not isinstance(c, _Scalar) or isinstance(c, bool):
                     raise TypeError(
                         f"coefficient must be an int or Fraction, got {type(c).__name__}"
@@ -86,18 +83,9 @@ class OrlikDivisor:
     # -- construction ----------------------------------------------------
 
     @classmethod
-    def zero(cls) -> "OrlikDivisor":
-        return cls()
-
-    @classmethod
     def one(cls) -> "OrlikDivisor":
         """The ring identity, the divisor of t - 1."""
         return cls({1: 1})
-
-    @classmethod
-    def lam(cls, j: int) -> "OrlikDivisor":
-        """The divisor of t^j - 1."""
-        return cls({j: 1})
 
     # -- immutability / equality -----------------------------------------
 
@@ -105,9 +93,8 @@ class OrlikDivisor:
         raise AttributeError("OrlikDivisor is immutable")
 
     def __eq__(self, other):
-        if isinstance(other, _Scalar) and not isinstance(other, bool):
-            other = OrlikDivisor({1: other})
-        if not isinstance(other, OrlikDivisor):
+        other = self._coerce(other)
+        if other is None:
             return NotImplemented
         return self._terms == other._terms
 
@@ -123,17 +110,11 @@ class OrlikDivisor:
         """Term pairs (j, coefficient), sorted by descending index."""
         return sorted(self._terms.items(), key=lambda t: -t[0])
 
-    def support(self) -> tuple:
-        return tuple(sorted(self._terms))
-
     def coefficient(self, j: int):
         """Coefficient of lam(j): an int, or a Fraction when not whole."""
         return self._terms.get(j, 0)
 
     __getitem__ = coefficient
-
-    def __len__(self):
-        return len(self._terms)
 
     def __repr__(self):
         body = ", ".join(f"{j}: {c}" for j, c in self.items())
@@ -225,7 +206,8 @@ class OrlikDivisor:
         # canonical form keeps whole coefficients as plain ints
         return all(isinstance(c, int) for c in self._terms.values())
 
-    def _require_integral(self, what):
+    def require_integral(self, what):
+        """Raise ``NonIntegralDivisorError`` unless every coefficient is whole."""
         if not self.is_integral():
             raise NonIntegralDivisorError(
                 f"{what} requires integer coefficients, got {self!r}"
@@ -233,40 +215,28 @@ class OrlikDivisor:
 
     def polynomial_degree(self) -> int:
         """Degree of prod (t^j - 1)^{c_j}, namely sum_j j * c_j."""
-        self._require_integral("polynomial degree")
+        self.require_integral("polynomial degree")
         return sum(j * int(c) for j, c in self._terms.items())
-
-    def cyclotomic_multiplicities(self) -> dict:
-        """Multiplicity of the primitive e-th roots of unity in the encoded product.
-
-        t^j - 1 contains the primitive e-th roots exactly when e divides j,
-        so the multiplicity at order e is the sum of c_j over multiples of
-        e in the support.  Orders with multiplicity zero are omitted.
-        """
-        self._require_integral("root multiplicities")
-        orders = set()
-        for j in self._terms:
-            e = 1
-            while e * e <= j:
-                if j % e == 0:
-                    orders.add(e)
-                    orders.add(j // e)
-                e += 1
-        out = {}
-        for e in sorted(orders):
-            m = sum(int(c) for j, c in self._terms.items() if j % e == 0)
-            if m:
-                out[e] = m
-        return out
 
     def encodes_polynomial(self) -> bool:
         """True when prod (t^j - 1)^{c_j} is a polynomial, not just rational.
 
         Equivalent to every root-of-unity multiplicity being non-negative.
+        The multiplicity of the primitive e-th roots is the sum of c_j over
+        the support indices e divides.  It depends only on that set of
+        indices, whose gcd divides exactly the same ones, so testing the
+        gcds of nonempty subsets of the support is exact at any size of d.
         Divisors produced by actual singularity links always pass; formal
         weight systems that no quasi-smooth polynomial realizes can fail.
         """
-        return all(m > 0 for m in self.cyclotomic_multiplicities().values())
+        self.require_integral("root multiplicities")
+        orders = set()
+        for j in self._terms:
+            orders |= {gcd(j, e) for e in orders}
+            orders.add(j)
+        return all(
+            sum(c for j, c in self._terms.items() if j % e == 0) >= 0 for e in orders
+        )
 
     def reduced_value_at_one(self) -> Fraction:
         """Value at t = 1 of the encoded product with all t - 1 factors cancelled.
@@ -275,7 +245,7 @@ class OrlikDivisor:
         after dividing out (t - 1)^{coefficient_sum} the value is
         prod_j j^{c_j}.  Defined for every integral divisor.
         """
-        self._require_integral("evaluation at t = 1")
+        self.require_integral("evaluation at t = 1")
         num = den = 1
         for j, c in self._terms.items():
             if c > 0:
@@ -292,7 +262,7 @@ class OrlikDivisor:
         multiplicity, so callers can tell a positive-Betti link apart from
         an arithmetic mistake; a negative sum raises ``PoleAtOneError``.
         """
-        self._require_integral("evaluation at t = 1")
+        self.require_integral("evaluation at t = 1")
         s = int(self.coefficient_sum())
         if s > 0:
             raise ZeroAtOneError(s)
@@ -316,7 +286,7 @@ class OrlikDivisor:
 
 def lam(j: int) -> OrlikDivisor:
     """The divisor of t^j - 1; ``lam(1)`` is the ring identity."""
-    return OrlikDivisor.lam(j)
+    return OrlikDivisor({j: 1})
 
 
 # -- first-principles oracle for the multiplication rule -------------------
@@ -327,29 +297,12 @@ def lam(j: int) -> OrlikDivisor:
 # lam(a) * lam(b) can be checked against nothing but modular arithmetic.
 
 
-def unit_root_multiset(j: int) -> Counter:
-    """The angle fractions of the j-th roots of unity, as a multiset."""
-    if not isinstance(j, int) or j < 1:
-        raise InvalidIndexError(f"root multiset needs a positive integer, got {j!r}")
-    return Counter(Fraction(m, j) for m in range(j))
-
-
-def pairwise_angle_sums(a: Counter, b: Counter) -> Counter:
-    """Multiset of x + y mod 1 over all pairs, with multiplicities."""
-    out = Counter()
-    for x, mx in a.items():
-        for y, my in b.items():
-            out[(x + y) % 1] += mx * my
-    return out
-
-
 def relation_holds(a: int, b: int) -> bool:
     """Does lam(a) * lam(b) = gcd(a, b) * lam(lcm(a, b)) hold on root multisets?
 
     Works over the common denominator L = lcm(a, b): the root m/a becomes
     the integer m * L/a mod L, pairwise sums are integer sums mod L, and
     the expected multiset is every residue with multiplicity gcd(a, b).
-    Same exact fractions as ``pairwise_angle_sums``, cheaper arithmetic.
     """
     g = gcd(a, b)
     lcm = a * b // g

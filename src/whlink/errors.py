@@ -1,4 +1,4 @@
-"""Exception hierarchy.
+"""Exception hierarchy, and the integer validator every entry point shares.
 
 Two families matter to callers: ``InputError`` covers everything a user can
 trigger from the command line (bad weights, non-coprime covers, a prime of
@@ -21,11 +21,13 @@ class InvalidIndexError(InputError):
 
 
 class NotASmoothCurveError(InputError):
-    """The genus formula returned a negative or fractional value.
+    """No quasi-smooth curve has these weights.
 
-    Integrality of the genus is the proxy filter for the weight system
-    cutting out an actual quasi-smooth curve; this package does not verify
-    quasi-smoothness itself.
+    Raised when the genus formula returns a negative or fractional value,
+    or the divisor is fractional or has a negative root multiplicity.
+    These are proxy filters for the weight system cutting out an actual
+    quasi-smooth curve; this package does not verify quasi-smoothness
+    itself.
     """
 
 
@@ -90,3 +92,17 @@ class TwoPathMismatchError(ConsistencyError):
 
 class CrossCheckError(ConsistencyError):
     """Two independent formulas for the same invariant disagree."""
+
+
+def require_int(value, minimum, message, error=InputError):
+    """Raise ``error`` unless ``value`` is an int, not a bool, and >= ``minimum``.
+
+    The message names the offending value; a ``minimum`` of None accepts
+    every int.
+    """
+    if (
+        not isinstance(value, int)
+        or isinstance(value, bool)
+        or (minimum is not None and value < minimum)
+    ):
+        raise error(f"{message}, got {value!r}")

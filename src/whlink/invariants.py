@@ -5,8 +5,8 @@ the monodromy acting on the middle homology of the Milnor fiber is
 
     div = prod_i (lam(u_i) / v_i - 1),        d / w_i = u_i / v_i reduced,
 
-which always collapses to an integer combination sum_j a_j lam(j) - 1.
-Everything else is read off that divisor:
+which for a quasi-smooth polynomial collapses to an integer combination
+sum_j a_j lam(j) - 1.  Everything else is read off that divisor:
 
   * the coefficient sum counts the t - 1 factors of the polynomial and is
     the first Betti number of a 3-variable link (twice the curve genus) or
@@ -32,7 +32,6 @@ from .errors import (
     ConsistencyError,
     CrossCheckError,
     MalformedDivisorError,
-    NonIntegralDivisorError,
     NotAPolynomialError,
     NotASmoothCurveError,
 )
@@ -46,25 +45,18 @@ CharPolynomial = list
 def milnor_orlik_divisor(ws: WeightSystem) -> OrlikDivisor:
     """Divisor of the monodromy characteristic polynomial of the link.
 
-    The rational intermediate terms are expected; the final product must be
-    integral.  A fractional result raises ``ConsistencyError``: for weight
-    systems of actual quasi-smooth polynomials it would indicate an
-    arithmetic bug, and for formal weight systems that slip past the genus
-    proxy (such as w=(1,4,6), d=8) it certifies no such polynomial exists.
+    The rational intermediate terms are expected, and the product is
+    returned as computed: integral for an actual quasi-smooth polynomial,
+    fractional for formal weight systems such as w=(1,4,6), d=8 that no
+    such polynomial has.
     """
     factors = [lam(u) / v - 1 for u, v in ws.reduced_ratios()]
-    div = reduce(lambda a, b: a * b, factors, OrlikDivisor.one())
-    if not div.is_integral():
-        raise ConsistencyError(
-            f"divisor of {ws} failed to reduce to integer coefficients: {div!r}"
-        )
-    return div
+    return reduce(lambda a, b: a * b, factors, OrlikDivisor.one())
 
 
 def betti_from_divisor(div: OrlikDivisor) -> int:
     """Multiplicity of t = 1 in the encoded polynomial, read as a Betti number."""
-    if not div.is_integral():
-        raise NonIntegralDivisorError(f"Betti number needs an integral divisor: {div!r}")
+    div.require_integral("Betti number")
     s = int(div.coefficient_sum())
     if s < 0:
         raise MalformedDivisorError(
@@ -80,8 +72,7 @@ def char_poly_from_divisor(div: OrlikDivisor) -> CharPolynomial:
     negative ones divided out with the shift recurrence, one factor at a
     time; any remainder aborts with ``NotAPolynomialError``.
     """
-    if not div.is_integral():
-        raise NonIntegralDivisorError(f"cannot expand a fractional divisor: {div!r}")
+    div.require_integral("expansion")
     num = [1]
     negatives = []
     for j, c in sorted(div.items()):
@@ -103,8 +94,7 @@ def oracle_expand(div: OrlikDivisor) -> CharPolynomial:
     no shortcut with ``char_poly_from_divisor``; the two must agree bit for
     bit on every divisor that encodes a polynomial.
     """
-    if not div.is_integral():
-        raise NonIntegralDivisorError(f"cannot expand a fractional divisor: {div!r}")
+    div.require_integral("expansion")
     num, den = [1], [1]
     for j, c in sorted(div.items()):
         block = poly.inflate(poly.power([-1, 1], abs(int(c))), j)
@@ -197,14 +187,15 @@ def link_invariants(
 
     For three variables the genus is computed independently and checked
     against the divisor's multiplicity (first Betti number = twice the
-    genus); a mismatch raises ``CrossCheckError``.  A divisor with a
-    negative root multiplicity is rejected up front: no quasi-smooth
-    polynomial has it, so there is no link whose invariants these would be.
+    genus); a mismatch raises ``CrossCheckError``.  A fractional divisor,
+    or one with a negative root multiplicity, is rejected up front: no
+    quasi-smooth polynomial has it, so there is no link whose invariants
+    these would be.
     """
     div = milnor_orlik_divisor(ws)
-    if not div.encodes_polynomial():
+    if not div.is_integral() or not div.encodes_polynomial():
         raise NotASmoothCurveError(
-            f"divisor of {ws} has a negative root multiplicity; "
+            f"divisor of {ws} is fractional or has a negative root multiplicity; "
             "no quasi-smooth polynomial realizes these weights"
         )
     genus = ws.genus() if ws.n == 3 else None

@@ -87,14 +87,6 @@ def long_divmod(num: list, den: list) -> tuple:
     return trim(quot), trim(rem)
 
 
-def eval_at(p: list, x: int):
-    """Horner evaluation at an integer point."""
-    acc = 0
-    for c in reversed(p):
-        acc = acc * x + c
-    return acc
-
-
 def eval_at_one(p: list):
     return sum(p)
 

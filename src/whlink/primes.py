@@ -10,9 +10,13 @@ answered with less than certainty.
 
 from __future__ import annotations
 
-from .errors import InputError
+from math import isqrt
+
+from .errors import InputError, require_int
 
 _TRIAL_LIMIT = 10**6
+# largest limit primes_4l_minus_1 sieves up to: a 10 MB flag table
+MAX_SIEVE_LIMIT = 10**7
 _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 _MR_PROVEN_BOUND = 3_317_044_064_679_887_385_961_981
 
@@ -36,8 +40,7 @@ def _strong_probable_prime(n: int, a: int) -> bool:
 
 def is_prime(n: int) -> bool:
     """Deterministic primality test for n below the proven witness bound."""
-    if not isinstance(n, int) or isinstance(n, bool):
-        raise InputError(f"primality is defined for integers, got {n!r}")
+    require_int(n, None, "primality is defined for integers")
     if n < 2:
         return False
     if n < _TRIAL_LIMIT:
@@ -59,14 +62,13 @@ def is_prime(n: int) -> bool:
     return all(_strong_probable_prime(n, a) for a in _MR_WITNESSES)
 
 
-def sieve(limit: int) -> list:
-    """Boolean primality table for 0..limit inclusive."""
-    if limit < 0:
-        return []
-    flags = [False, False] + [True] * (limit - 1) if limit >= 2 else [False] * (limit + 1)
-    for p in range(2, int(limit**0.5) + 1):
+def sieve(limit: int) -> bytearray:
+    """Primality flags for 0..limit inclusive, one byte each: 1 prime, 0 not."""
+    flags = bytearray([1]) * (limit + 1)
+    flags[:2] = bytes(len(flags[:2]))
+    for p in range(2, isqrt(max(limit, 0)) + 1):
         if flags[p]:
-            flags[p * p :: p] = [False] * len(flags[p * p :: p])
+            flags[p * p :: p] = bytes(len(range(p * p, limit + 1, p)))
     return flags
 
 
@@ -75,10 +77,12 @@ def primes_4l_minus_1(limit: int) -> list:
 
     These are the degrees available to the genus-one family; there are
     infinitely many, so any bound on the forbidden factors of a target
-    order can be escaped.  Limits below 3 yield the empty list.
+    order can be escaped.  Limits below 3 yield the empty list; limits
+    above ``MAX_SIEVE_LIMIT`` are rejected rather than sieved.
     """
-    if not isinstance(limit, int) or isinstance(limit, bool) or limit < 0:
-        raise InputError(f"limit must be a non-negative integer, got {limit!r}")
+    require_int(limit, 0, "limit must be a non-negative integer")
+    if limit > MAX_SIEVE_LIMIT:
+        raise InputError(f"limit must be at most {MAX_SIEVE_LIMIT}, got {limit}")
     flags = sieve(limit)
     return [p for p in range(3, limit + 1, 4) if flags[p]]
 
@@ -98,8 +102,7 @@ def factorize(k: int) -> list:
     Trial division up to 10**6 with a primality test on the cofactor; a
     composite cofactor past that bound is out of supported range.
     """
-    if not isinstance(k, int) or isinstance(k, bool) or k < 1:
-        raise InputError(f"factorization is defined for positive integers, got {k!r}")
+    require_int(k, 1, "factorization is defined for positive integers")
     out = []
     rest = k
     f = 2

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from math import gcd
 
 from .cover import CoverLink, build_cover
-from .errors import ConsistencyError, CoprimalityError, FamilyDomainError, InputError
+from .errors import ConsistencyError, CoprimalityError, FamilyDomainError, require_int
 from .invariants import MAX_POLY_DEGREE
 from .smale import SmaleManifold, smale_decompositions
 from .primes import family_prime_candidates, is_prime
@@ -42,7 +42,8 @@ def family_member(p: int) -> FamilyMember:
     integer.  The genus is recomputed and must come out 1; the middle and
     last weights are l and 2l - 1, always coprime.
     """
-    if not isinstance(p, int) or isinstance(p, bool) or p < 3 or not is_prime(p):
+    require_int(p, 3, "family degree must be prime", FamilyDomainError)
+    if not is_prime(p):
         raise FamilyDomainError(f"family degree must be prime, got {p!r}")
     if p % 4 != 3:
         raise FamilyDomainError(
@@ -103,8 +104,7 @@ def realize(
     to k, recorded in the certificate so a different one can be requested
     explicitly via ``prime``.
     """
-    if not isinstance(k, int) or isinstance(k, bool) or k < 2:
-        raise InputError(f"target order parameter must be an integer > 1, got {k!r}")
+    require_int(k, 2, "target order parameter must be an integer > 1")
     if prime is None:
         chosen = next(p for p in family_prime_candidates() if gcd(k, p) == 1)
     else:
@@ -135,49 +135,38 @@ def realize(
     )
 
 
-def iter_integral_genus_systems(max_degree: int):
+def iter_integral_genus_systems(max_degree: int, target_genus: int | None = None):
     """Yield (system, genus) over all sorted 3-variable systems with d <= max_degree.
 
     Weights run over 1 <= w_1 <= w_2 <= w_3 <= d, restricted to primitive
     triples (non-primitive ones present the same links with the genus
     formula out of its domain); systems whose genus formula is fractional
     or negative are skipped.  This is the regression grid the verification
-    suite sweeps.
+    suite sweeps.  With ``target_genus`` given only systems of that genus
+    are yielded, and for a positive target the scan stops w_3 where the
+    weights sum past the degree, since those systems have genus zero.
     """
     for d in range(1, max_degree + 1):
         for w1 in range(1, d + 1):
             for w2 in range(w1, d + 1):
-                for w3 in range(w2, d + 1):
-                    if gcd(gcd(w1, w2), w3) != 1:
+                g12 = gcd(w1, w2)
+                top = d - w1 - w2 if target_genus else d
+                for w3 in range(w2, top + 1):
+                    if gcd(g12, w3) != 1:
                         continue
                     ws = WeightSystem((w1, w2, w3), d)
                     value = ws.genus_value()
-                    if value.denominator == 1 and value >= 0:
-                        yield ws, int(value)
+                    if value.denominator != 1 or value.numerator < 0:
+                        continue
+                    if target_genus is None or value.numerator == target_genus:
+                        yield ws, value.numerator
 
 
 def search_weight_systems(target_genus: int, max_degree: int) -> list:
     """All sorted 3-variable systems of the given genus up to max_degree.
 
-    Results are ordered by degree, then lexicographically by weights.  For
-    positive target genus the scan prunes systems whose weights sum past
-    the degree, which can only have genus zero.
+    Results are ordered by degree, then lexicographically by weights.
     """
-    if not isinstance(target_genus, int) or target_genus < 0:
-        raise InputError(f"target genus must be a non-negative integer, got {target_genus!r}")
-    if not isinstance(max_degree, int) or max_degree < 3:
-        raise InputError(f"max degree must be an integer >= 3, got {max_degree!r}")
-    out = []
-    for d in range(1, max_degree + 1):
-        for w1 in range(1, d + 1):
-            for w2 in range(w1, d + 1):
-                for w3 in range(w2, d + 1):
-                    if target_genus > 0 and w1 + w2 + w3 > d:
-                        continue
-                    if gcd(gcd(w1, w2), w3) != 1:
-                        continue
-                    ws = WeightSystem((w1, w2, w3), d)
-                    value = ws.genus_value()
-                    if value.denominator == 1 and value == target_genus:
-                        out.append(ws)
-    return out
+    require_int(target_genus, 0, "target genus must be a non-negative integer")
+    require_int(max_degree, 3, "max degree must be an integer >= 3")
+    return [ws for ws, _g in iter_integral_genus_systems(max_degree, target_genus)]

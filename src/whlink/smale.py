@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from itertools import product
 
-from .errors import InputError
+from .errors import require_int
 from .primes import factorize
 
 
@@ -83,8 +83,7 @@ def smale_decompositions(k: int) -> list:
     each prime's partitions run in reverse lexicographic order, first
     prime's partition varying slowest.  k = 1 yields the 5-sphere alone.
     """
-    if not isinstance(k, int) or isinstance(k, bool) or k < 1:
-        raise InputError(f"expected a positive integer order, got {k!r}")
+    require_int(k, 1, "expected a positive integer order")
     per_prime = [
         [(p, parts) for parts in partitions_desc(e)] for p, e in factorize(k)
     ]
@@ -94,9 +93,3 @@ def smale_decompositions(k: int) -> list:
         out.append(SmaleManifold(summands))
     return out
 
-
-def is_unique_realization(k: int) -> bool:
-    """True when the order k^2 pins the manifold down: k squarefree."""
-    if not isinstance(k, int) or isinstance(k, bool) or k < 2:
-        raise InputError(f"expected an integer greater than 1, got {k!r}")
-    return all(e == 1 for _, e in factorize(k))

@@ -22,7 +22,7 @@ from math import gcd
 from . import polynomials as poly
 from .cover import cover_divisor, cover_weights
 from .divisor import relation_holds
-from .errors import ConsistencyError, NotAPolynomialError
+from .errors import NotAPolynomialError
 from .invariants import char_poly_from_divisor, milnor_orlik_divisor, oracle_expand
 from .realization import iter_integral_genus_systems
 
@@ -184,9 +184,10 @@ def build_grid(max_degree: int) -> tuple:
     grid = []
     skipped = 0
     for ws, g in iter_integral_genus_systems(max_degree):
-        try:
-            grid.append((ws, g, milnor_orlik_divisor(ws)))
-        except ConsistencyError:
+        div = milnor_orlik_divisor(ws)
+        if div.is_integral():
+            grid.append((ws, g, div))
+        else:
             skipped += 1
     return grid, skipped
 

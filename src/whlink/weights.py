@@ -9,11 +9,10 @@ index of the quotient orbifold.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 
-from .errors import InputError, NotASmoothCurveError
+from .errors import InputError, NotASmoothCurveError, require_int
 
 
 class WeightSystem:
@@ -31,10 +30,8 @@ class WeightSystem:
         if len(weights) < 2:
             raise InputError("a weight system needs at least two weights")
         for w in weights:
-            if not isinstance(w, int) or isinstance(w, bool) or w < 1:
-                raise InputError(f"weights must be positive integers, got {w!r}")
-        if not isinstance(degree, int) or isinstance(degree, bool) or degree < 1:
-            raise InputError(f"degree must be a positive integer, got {degree!r}")
+            require_int(w, 1, "weights must be positive integers")
+        require_int(degree, 1, "degree must be a positive integer")
         object.__setattr__(self, "weights", weights)
         object.__setattr__(self, "degree", degree)
 
@@ -73,14 +70,6 @@ class WeightSystem:
     def fano_index(self) -> int:
         """Sum of the weights, the positivity index of the base orbifold."""
         return sum(self.weights)
-
-    def may_have_positive_genus(self) -> bool:
-        """Necessary condition for genus > 0: the weights sum to at most d.
-
-        Three-variable systems violating this bound cut out rational
-        curves, so searches for positive genus can prune on it.
-        """
-        return sum(self.weights) <= self.degree
 
     def is_primitive(self) -> bool:
         """True when the weights share no common factor (effective action)."""
@@ -150,14 +139,3 @@ class WeightSystem:
     def from_json(cls, data) -> "WeightSystem":
         return cls(tuple(int(w) for w in data["weights"]), int(data["degree"]))
 
-
-@dataclass(frozen=True)
-class WeightedCurve:
-    """A three-variable weight system together with its verified genus."""
-
-    system: WeightSystem
-    genus: int
-
-    @classmethod
-    def from_system(cls, system: WeightSystem) -> "WeightedCurve":
-        return cls(system, system.genus())

@@ -113,3 +113,9 @@ def test_criterion_grid_duality(sweep):
     assert check.checked > 0
     assert check.failed == 0, check.failures
     _passed("3/4 companion", f"genus-Betti duality holds ({check.checked} systems)")
+
+
+def test_criterion_grid_counts(sweep):
+    """The grid keeps 9219 systems and skips the 883 with fractional divisors."""
+    assert (sweep.systems, sweep.skipped_nonintegral) == (9219, 883)
+    _passed("grid", "9219 systems checked, 883 fractional-divisor systems skipped")

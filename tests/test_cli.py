@@ -1,6 +1,7 @@
 """End-to-end tests of the command-line interface."""
 
 import json
+import time
 
 from whlink.cli import main
 
@@ -181,3 +182,35 @@ def test_internal_failure_maps_to_exit_2(capsys, monkeypatch):
     code, out, err = run(capsys, "link", "--weights", "1,1,1", "--degree", "3")
     assert code == 2
     assert "internal consistency" in err
+
+
+def test_fractional_divisor_systems_are_input_errors(capsys):
+    # the genus formula is integral but the divisor has fractional
+    # coefficients: no quasi-smooth polynomial has these weights
+    for argv in (
+        ["link", "--weights", "1,4,6", "--degree", "8"],
+        ["link", "--weights", "7,1,1", "--degree", "3"],
+        ["cover", "--weights", "1,4,6", "--degree", "8", "-k", "3"],
+    ):
+        code, out, err = run(capsys, *argv)
+        assert code == 1, argv
+        assert out == ""
+        assert "fractional" in err and "quasi-smooth" in err
+
+
+def test_primes_limit_past_cap_is_input_error(capsys):
+    code, out, err = run(capsys, "primes", "--limit", "10000001")
+    assert code == 1
+    assert out == ""
+    assert "at most 10000000" in err
+
+
+def test_link_huge_degree_is_fast(capsys):
+    start = time.perf_counter()
+    code, data, _ = run_json(
+        capsys, "link", "--weights", "1,2,3", "--degree", "999999999999999996"
+    )
+    assert time.perf_counter() - start < 1.0
+    assert code == 0
+    assert data["betti"] == 2 * data["genus"] > 0
+    assert data["delta_poly"] is None

@@ -51,7 +51,7 @@ def test_cover_divisor_p7():
 def test_cover_divisor_annihilates_zero():
     from whlink import OrlikDivisor
 
-    assert cover_divisor(OrlikDivisor.zero(), 5) == OrlikDivisor.zero()
+    assert cover_divisor(OrlikDivisor(), 5) == OrlikDivisor()
 
 
 def test_build_cover_cubic_k2():

@@ -100,7 +100,7 @@ def test_oracle_matches_pipeline():
         lam(2) + lam(3) - 1,
         POINCARE_DIVISOR,
         lam(1),
-        OrlikDivisor.zero(),
+        OrlikDivisor(),
         7 * lam(4) - lam(1),
     ):
         assert oracle_expand(div) == char_poly_from_divisor(div)

@@ -2,7 +2,7 @@
 
 from fractions import Fraction
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from whlink import OrlikDivisor, WeightSystem, lam
@@ -53,7 +53,7 @@ def test_mul_distributes_over_add(a, b, c):
 
 @given(divisors)
 def test_add_negation_cancels(d):
-    assert d + (-d) == OrlikDivisor.zero()
+    assert d + (-d) == OrlikDivisor()
 
 
 @given(divisors)
@@ -75,6 +75,29 @@ def test_value_at_one_defined_when_balanced(d):
     # rebalance the lam(1) coefficient so the sum vanishes
     balanced = d - int(d.coefficient_sum()) * lam(1)
     assert balanced.value_at_one() == balanced.reduced_value_at_one()
+
+
+# indices among the divisors of 120, so that gcds of support indices are
+# often themselves outside the support
+lattice_divisors = st.dictionaries(
+    keys=st.sampled_from([j for j in range(1, 121) if 120 % j == 0]),
+    values=st.sampled_from([-1, 1]),
+    max_size=8,
+).map(OrlikDivisor)
+
+
+@given(st.one_of(integral_divisors, lattice_divisors))
+@example(lam(12) - lam(4) - lam(6) + lam(1))  # fails only at order 2 = gcd(4, 6)
+@settings(max_examples=600)
+def test_encodes_polynomial_matches_definition(d):
+    # every root-of-unity multiplicity is non-negative: for each order e up
+    # to the largest index, the coefficients of the multiples of e sum >= 0
+    terms = dict(d.items())
+    definition = all(
+        sum(c for j, c in terms.items() if j % e == 0) >= 0
+        for e in range(1, max(terms, default=0) + 1)
+    )
+    assert d.encodes_polynomial() == definition
 
 
 weight_systems = st.builds(

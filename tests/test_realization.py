@@ -10,7 +10,6 @@ from whlink import (
     factorize,
     family_member,
     is_prime,
-    is_unique_realization,
     link_invariants,
     primes_4l_minus_1,
     realize,
@@ -18,6 +17,7 @@ from whlink import (
     smale_decompositions,
 )
 from whlink.primes import sieve
+from whlink.realization import iter_integral_genus_systems
 from whlink.smale import partitions_desc
 
 FIRST_20_FAMILY_PRIMES = [
@@ -160,16 +160,16 @@ def test_smale_candidate_count_is_partition_product():
 
 
 def test_is_unique_realization():
-    assert is_unique_realization(30)
-    assert not is_unique_realization(4)
-    assert is_unique_realization(97)
-    with pytest.raises(InputError):
-        is_unique_realization(1)
+    # the order k^2 pins the manifold down exactly when k is squarefree
+    assert len(smale_decompositions(30)) == 1
+    assert len(smale_decompositions(4)) == 2
+    assert len(smale_decompositions(97)) == 1
 
 
 def test_uniqueness_matches_candidate_count():
     for k in range(2, 501):
-        assert is_unique_realization(k) == (len(smale_decompositions(k)) == 1)
+        squarefree = all(e == 1 for _, e in factorize(k))
+        assert squarefree == (len(smale_decompositions(k)) == 1)
 
 
 def test_search_genus_one_small():
@@ -199,6 +199,19 @@ def test_search_validates_bounds():
         search_weight_systems(1, 2)
     with pytest.raises(InputError):
         search_weight_systems(-1, 10)
+    with pytest.raises(InputError):
+        search_weight_systems(True, 10)
+    with pytest.raises(InputError):
+        search_weight_systems(1, 10.0)
+
+
+def test_search_matches_filtered_grid():
+    # the positive-genus skip drops no system of the target genus
+    grid = list(iter_integral_genus_systems(14))
+    for target in range(4):
+        expected = [ws for ws, g in grid if g == target]
+        assert search_weight_systems(target, 14) == expected
+        assert all(g == target for _ws, g in iter_integral_genus_systems(14, target))
 
 
 def test_family_member_invariant_violation_unreachable():

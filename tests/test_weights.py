@@ -2,7 +2,7 @@
 
 import pytest
 
-from whlink import InputError, NotASmoothCurveError, WeightedCurve, WeightSystem
+from whlink import InputError, NotASmoothCurveError, WeightSystem
 
 
 def test_reduced_ratios_poincare():
@@ -65,20 +65,15 @@ def test_fano_index():
     assert WeightSystem((3, 2, 2, 2), 6).fano_index() == 9
 
 
-def test_positive_genus_bound():
-    assert WeightSystem((1, 1, 1), 3).may_have_positive_genus()
-    assert not WeightSystem((1, 1, 1), 2).may_have_positive_genus()
-    assert WeightSystem((1, 2, 3), 7).may_have_positive_genus()
-
-
 def test_bound_contrapositive_small_grid():
-    # weights summing past the degree force genus 0 whenever it is defined
+    # weights summing past the degree force genus 0 whenever it is defined,
+    # which is what lets a search for positive genus skip them
     for d in range(1, 31):
         for w1 in range(1, d + 1):
             for w2 in range(w1, d + 1):
                 for w3 in range(w2, d + 1):
                     ws = WeightSystem((w1, w2, w3), d)
-                    if ws.may_have_positive_genus() or not ws.is_primitive():
+                    if sum(ws.weights) <= ws.degree or not ws.is_primitive():
                         continue
                     value = ws.genus_value()
                     if value.denominator == 1 and value >= 0:
@@ -102,15 +97,13 @@ def test_validation():
         WeightSystem((0, 1, 1), 3)
     with pytest.raises(InputError):
         WeightSystem((1, 1, 1), 0)
+    with pytest.raises(InputError):
+        WeightSystem((1, True, 1), 3)
+    with pytest.raises(InputError):
+        WeightSystem((1, 1, 1), 3.0)
 
 
 def test_json_round_trip():
     ws = WeightSystem((1, 2, 3), 7)
     assert ws.as_json() == {"weights": [1, 2, 3], "degree": 7}
     assert WeightSystem.from_json(ws.as_json()) == ws
-
-
-def test_weighted_curve():
-    curve = WeightedCurve.from_system(WeightSystem((1, 2, 3), 7))
-    assert curve.genus == 1
-    assert curve.system.degree == 7
