@@ -16,7 +16,6 @@ from .errors import (
     InputError,
     InvalidIndexError,
     MalformedDivisorError,
-    NonIntegralDivisorError,
     NotAPolynomialError,
     NotASmoothCurveError,
     PoleAtOneError,
@@ -65,7 +64,6 @@ __all__ = [
     "InputError",
     "InvalidIndexError",
     "MalformedDivisorError",
-    "NonIntegralDivisorError",
     "NotAPolynomialError",
     "NotASmoothCurveError",
     "PoleAtOneError",

@@ -114,7 +114,7 @@ def _cmd_cover(args) -> int:
 
 
 def _cmd_realize(args) -> int:
-    cert = realize(args.k, prime=args.prime, skip_direct_path=args.skip_direct_path)
+    cert = realize(args.k, prime=args.prime)
     if args.format == "json":
         _emit_json(cert.as_json())
         return 0
@@ -227,7 +227,6 @@ def build_parser() -> _Parser:
     p = sub.add_parser("realize", help="realize |H_2| = k^2 by a genus-one cover")
     p.add_argument("k", type=int, help="square root of the target H_2 order")
     p.add_argument("--prime", type=int, default=None, help="family prime to use instead of the smallest")
-    p.add_argument("--skip-direct-path", action="store_true", help=argparse.SUPPRESS)
     _add_format_flag(p)
     p.set_defaults(func=_cmd_realize)
 

@@ -23,11 +23,11 @@ from .errors import (
     CoprimalityError,
     CrossCheckError,
     InputError,
+    NotASmoothCurveError,
     TwoPathMismatchError,
     require_int,
 )
 from .invariants import (
-    MAX_POLY_DEGREE,
     LinkInvariants,
     invariants_from_divisor,
     link_invariants,
@@ -89,16 +89,11 @@ def cover_weights(base: WeightSystem, k: int) -> WeightSystem:
 def cover_divisor(base_div: OrlikDivisor, k: int) -> OrlikDivisor:
     """Divisor of the cover: (lam(k) - 1) times the base divisor."""
     require_int(k, 2, _EXPONENT)
-    base_div.require_integral("a cover divisor")
     return (lam(k) - 1) * base_div
 
 
 def build_cover(
-    base: WeightSystem,
-    k: int,
-    *,
-    skip_direct_path: bool = False,
-    max_poly_degree: int = MAX_POLY_DEGREE,
+    base: WeightSystem, k: int, *, skip_direct_path: bool = False
 ) -> CoverLink:
     """Construct the k-fold branched cover and verify it two ways.
 
@@ -113,7 +108,7 @@ def build_cover(
     never the default.
     """
     system = cover_weights(base, k)
-    base_inv = link_invariants(base, max_poly_degree=max_poly_degree)
+    base_inv = link_invariants(base)
     via_relation = cover_divisor(base_inv.divisor, k)
     paths_agree = None
     if not skip_direct_path:
@@ -124,7 +119,7 @@ def build_cover(
                 f"times the base divisor: {direct!r} vs {via_relation!r}"
             )
         paths_agree = True
-    inv = invariants_from_divisor(via_relation, max_poly_degree=max_poly_degree)
+    inv = invariants_from_divisor(via_relation)
     if inv.multiplicity_of_unity != 0:
         raise CrossCheckError(
             f"cover of {base} by k={k} has b_2 = {inv.multiplicity_of_unity}, "
@@ -146,15 +141,17 @@ def build_cover(
     )
 
 
-def diagnose_cover(
-    base: WeightSystem, k: int, *, max_poly_degree: int = MAX_POLY_DEGREE
-) -> tuple[WeightSystem, LinkInvariants]:
+def diagnose_cover(base: WeightSystem, k: int) -> tuple[WeightSystem, LinkInvariants]:
     """Invariants of z_0^k over a base without the coprimality hypothesis.
 
     Reports whatever the divisor calculus says, asserting nothing: with
     gcd(d, k) > 1 the cover need not be a rational homology sphere, so the
     returned record may carry a positive multiplicity and no torsion order.
+    A cover system whose Milnor-Orlik product is not integral raises
+    ``NotASmoothCurveError``.
     """
     system = _adjoin_power(base, k)
     div = milnor_orlik_divisor(system)
-    return system, invariants_from_divisor(div, max_poly_degree=max_poly_degree)
+    if div is None:
+        raise NotASmoothCurveError(f"divisor of {system} is fractional")
+    return system, invariants_from_divisor(div)

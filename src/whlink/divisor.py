@@ -1,21 +1,23 @@
 """Exact arithmetic in the ring spanned by the divisors of t^j - 1.
 
 ``lam(j)`` is the divisor of t^j - 1: the multiset of all j-th roots of
-unity, each appearing once.  These elements span a subring of the rational
-group ring of C*, with multiplication determined bilinearly by
+unity, each appearing once.  Their integer combinations form a subring of
+the integral group ring of C*, with multiplication determined bilinearly by
 
     lam(a) * lam(b) = gcd(a, b) * lam(lcm(a, b))
 
-and with lam(1), the divisor of t - 1, acting as the ring identity.  An
-integral combination sum_j c_j lam(j) encodes the rational function
+and with lam(1), the divisor of t - 1, acting as the ring identity.  A
+combination sum_j c_j lam(j) encodes the rational function
 prod_j (t^j - 1)^{c_j}; link invariants downstream are read off that
 encoding without ever expanding the polynomial unless asked to.
 
-Coefficients are exact rationals throughout.  Products such as
-(lam(7)/2 - 1) * (lam(7)/3 - 1) pass through fractional terms that cancel
-only once the full product is assembled, so nothing may be rounded.
-Canonical form prunes zero coefficients immediately after every operation;
-two divisors are equal exactly when their canonical term maps are equal.
+Coefficients are ints and nothing else, so a fractional divisor cannot be
+represented.  A product whose factors carry denominators, such as the
+Milnor-Orlik product of the lam(u)/v - 1, is formed over one common
+denominator from the integer factors lam(u) - v and divided exactly at
+the end (see ``invariants.milnor_orlik_divisor``).  Canonical form prunes
+zero coefficients immediately after every operation; two divisors are
+equal exactly when their canonical term maps are equal.
 """
 
 from __future__ import annotations
@@ -25,29 +27,19 @@ from math import gcd
 
 from .errors import (
     InvalidIndexError,
-    NonIntegralDivisorError,
     PoleAtOneError,
     ZeroAtOneError,
     require_int,
 )
 
-_Scalar = (int, Fraction)
-
 
 def _normalized(terms: dict) -> dict:
-    """Canonical coefficient storage: no zeros, whole numbers as plain ints."""
-    out = {}
-    for j, c in terms.items():
-        if not c:
-            continue
-        if not isinstance(c, int) and c.denominator == 1:
-            c = c.numerator
-        out[j] = c
-    return out
+    """Canonical coefficient storage: no zero coefficients."""
+    return {j: c for j, c in terms.items() if c}
 
 
 class OrlikDivisor:
-    """A finitely supported rational combination of the generators lam(j).
+    """A finitely supported integer combination of the generators lam(j).
 
     Instances are immutable; every operation returns a fresh canonical
     divisor and is safe to share across threads.
@@ -61,10 +53,7 @@ class OrlikDivisor:
             items = terms.items() if hasattr(terms, "items") else terms
             for j, c in items:
                 require_int(j, 1, "generator index must be a positive integer", InvalidIndexError)
-                if not isinstance(c, _Scalar) or isinstance(c, bool):
-                    raise TypeError(
-                        f"coefficient must be an int or Fraction, got {type(c).__name__}"
-                    )
+                require_int(c, None, "coefficient must be an int", TypeError)
                 c = canonical.get(j, 0) + c
                 if c:
                     canonical[j] = c
@@ -74,8 +63,8 @@ class OrlikDivisor:
 
     @classmethod
     def _raw(cls, terms: dict) -> "OrlikDivisor":
-        # trusted fast path for results of arithmetic: indices are already
-        # valid, only zero pruning and int demotion are needed
+        # trusted fast path for results of arithmetic: indices and
+        # coefficients are already valid, only zero pruning is needed
         self = object.__new__(cls)
         object.__setattr__(self, "_terms", _normalized(terms))
         return self
@@ -111,7 +100,7 @@ class OrlikDivisor:
         return sorted(self._terms.items(), key=lambda t: -t[0])
 
     def coefficient(self, j: int):
-        """Coefficient of lam(j): an int, or a Fraction when not whole."""
+        """Coefficient of lam(j), an int."""
         return self._terms.get(j, 0)
 
     __getitem__ = coefficient
@@ -142,7 +131,7 @@ class OrlikDivisor:
     def _coerce(self, other):
         if isinstance(other, OrlikDivisor):
             return other
-        if isinstance(other, _Scalar) and not isinstance(other, bool):
+        if isinstance(other, int) and not isinstance(other, bool):
             return OrlikDivisor({1: other})
         return None
 
@@ -173,7 +162,7 @@ class OrlikDivisor:
         return other + (-self)
 
     def __mul__(self, other):
-        if isinstance(other, _Scalar) and not isinstance(other, bool):
+        if isinstance(other, int) and not isinstance(other, bool):
             return OrlikDivisor._raw({j: c * other for j, c in self._terms.items()})
         if not isinstance(other, OrlikDivisor):
             return NotImplemented
@@ -187,36 +176,19 @@ class OrlikDivisor:
 
     __rmul__ = __mul__
 
-    def __truediv__(self, q):
-        if not isinstance(q, _Scalar) or isinstance(q, bool):
-            return NotImplemented
-        return self * (Fraction(1) / q)
-
     # -- invariants of the encoded product ---------------------------------
 
-    def coefficient_sum(self):
-        """Sum of all coefficients, an exact rational.
+    def coefficient_sum(self) -> int:
+        """Sum of all coefficients.
 
         For the divisor of an actual characteristic polynomial this is the
         multiplicity of t = 1 as a root, hence a Betti number.
         """
         return sum(self._terms.values())
 
-    def is_integral(self) -> bool:
-        # canonical form keeps whole coefficients as plain ints
-        return all(isinstance(c, int) for c in self._terms.values())
-
-    def require_integral(self, what):
-        """Raise ``NonIntegralDivisorError`` unless every coefficient is whole."""
-        if not self.is_integral():
-            raise NonIntegralDivisorError(
-                f"{what} requires integer coefficients, got {self!r}"
-            )
-
     def polynomial_degree(self) -> int:
         """Degree of prod (t^j - 1)^{c_j}, namely sum_j j * c_j."""
-        self.require_integral("polynomial degree")
-        return sum(j * int(c) for j, c in self._terms.items())
+        return sum(j * c for j, c in self._terms.items())
 
     def encodes_polynomial(self) -> bool:
         """True when prod (t^j - 1)^{c_j} is a polynomial, not just rational.
@@ -229,7 +201,6 @@ class OrlikDivisor:
         Divisors produced by actual singularity links always pass; formal
         weight systems that no quasi-smooth polynomial realizes can fail.
         """
-        self.require_integral("root multiplicities")
         orders = set()
         for j in self._terms:
             orders |= {gcd(j, e) for e in orders}
@@ -243,9 +214,8 @@ class OrlikDivisor:
 
         Each t^j - 1 contributes a simple zero at t = 1 with cofactor j, so
         after dividing out (t - 1)^{coefficient_sum} the value is
-        prod_j j^{c_j}.  Defined for every integral divisor.
+        prod_j j^{c_j}, a rational number defined for every divisor.
         """
-        self.require_integral("evaluation at t = 1")
         num = den = 1
         for j, c in self._terms.items():
             if c > 0:
@@ -262,8 +232,7 @@ class OrlikDivisor:
         multiplicity, so callers can tell a positive-Betti link apart from
         an arithmetic mistake; a negative sum raises ``PoleAtOneError``.
         """
-        self.require_integral("evaluation at t = 1")
-        s = int(self.coefficient_sum())
+        s = self.coefficient_sum()
         if s > 0:
             raise ZeroAtOneError(s)
         if s < 0:
@@ -273,15 +242,11 @@ class OrlikDivisor:
     # -- serialization -----------------------------------------------------
 
     def as_json(self) -> list:
-        """Canonical JSON form: index-sorted terms with num/den strings."""
-        return [
-            {"j": j, "num": str(c.numerator), "den": str(c.denominator)}
-            for j, c in sorted(self._terms.items())
-        ]
+        """Canonical JSON form: index-sorted terms with num/den strings.
 
-    @classmethod
-    def from_json(cls, data) -> "OrlikDivisor":
-        return cls({int(t["j"]): Fraction(int(t["num"]), int(t["den"])) for t in data})
+        ``den`` is always "1"; it is kept for format stability.
+        """
+        return [{"j": j, "num": str(c), "den": "1"} for j, c in sorted(self._terms.items())]
 
 
 def lam(j: int) -> OrlikDivisor:

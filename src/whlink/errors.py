@@ -24,7 +24,8 @@ class NotASmoothCurveError(InputError):
     """No quasi-smooth curve has these weights.
 
     Raised when the genus formula returns a negative or fractional value,
-    or the divisor is fractional or has a negative root multiplicity.
+    or the Milnor-Orlik product does not come out integral or has a
+    negative root multiplicity.
     These are proxy filters for the weight system cutting out an actual
     quasi-smooth curve; this package does not verify quasi-smoothness
     itself.
@@ -37,10 +38,6 @@ class CoprimalityError(InputError):
 
 class FamilyDomainError(InputError):
     """The prime handed to the genus-one family is not of the form 4l - 1."""
-
-
-class NonIntegralDivisorError(WhlinkError):
-    """An operation requiring integer coefficients met a fractional one."""
 
 
 class UnitValueError(WhlinkError):

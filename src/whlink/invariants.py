@@ -16,21 +16,23 @@ sum_j a_j lam(j) - 1.  Everything else is read off that divisor:
   * the polynomial itself expands to prod_j (t^j - 1)^{c_j}, computed here
     two independent ways so each can police the other.
 
-The module-level constant ``MAX_POLY_DEGREE`` caps how large a polynomial
-the pipeline will expand by default; the divisor-level invariants have no
-such cap because they cost next to nothing.
+Two module-level caps bound the work: ``MAX_POLY_DEGREE`` is the largest
+polynomial the pipeline expands (larger ones are reported as divisors
+only), and ``MAX_ORDER_DIGITS`` the largest torsion order, in decimal
+digits, it computes and prints (larger ones are rejected as input).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import reduce
+from math import inf, log10
 
 from . import polynomials as poly
 from .divisor import OrlikDivisor, lam
 from .errors import (
     ConsistencyError,
     CrossCheckError,
+    InputError,
     MalformedDivisorError,
     NotAPolynomialError,
     NotASmoothCurveError,
@@ -38,26 +40,39 @@ from .errors import (
 from .weights import WeightSystem
 
 MAX_POLY_DEGREE = 10_000
+# below the 4300 digits Python converts an int to a string by default, with
+# room for the error of a floating-point estimate
+MAX_ORDER_DIGITS = 4000
 
 CharPolynomial = list
 
 
-def milnor_orlik_divisor(ws: WeightSystem) -> OrlikDivisor:
+def milnor_orlik_divisor(ws: WeightSystem) -> OrlikDivisor | None:
     """Divisor of the monodromy characteristic polynomial of the link.
 
-    The rational intermediate terms are expected, and the product is
-    returned as computed: integral for an actual quasi-smooth polynomial,
-    fractional for formal weight systems such as w=(1,4,6), d=8 that no
-    such polynomial has.
+    The product prod (lam(u_i) - v_i) of integer factors is divided
+    exactly by prod v_i at the end.  The quotient is integral for an
+    actual quasi-smooth polynomial; for formal weight systems that no such
+    polynomial has, such as w=(1,4,6), d=8, a coefficient leaves a
+    remainder and the result is None.
     """
-    factors = [lam(u) / v - 1 for u, v in ws.reduced_ratios()]
-    return reduce(lambda a, b: a * b, factors, OrlikDivisor.one())
+    product = OrlikDivisor.one()
+    denominator = 1
+    for u, v in ws.reduced_ratios():
+        product = product * (lam(u) - v)
+        denominator *= v
+    terms = {}
+    for j, c in product.items():
+        q, r = divmod(c, denominator)
+        if r:
+            return None
+        terms[j] = q
+    return OrlikDivisor(terms)
 
 
 def betti_from_divisor(div: OrlikDivisor) -> int:
     """Multiplicity of t = 1 in the encoded polynomial, read as a Betti number."""
-    div.require_integral("Betti number")
-    s = int(div.coefficient_sum())
+    s = div.coefficient_sum()
     if s < 0:
         raise MalformedDivisorError(
             f"coefficient sum {s} is negative; not the divisor of a link polynomial"
@@ -72,14 +87,13 @@ def char_poly_from_divisor(div: OrlikDivisor) -> CharPolynomial:
     negative ones divided out with the shift recurrence, one factor at a
     time; any remainder aborts with ``NotAPolynomialError``.
     """
-    div.require_integral("expansion")
     num = [1]
     negatives = []
     for j, c in sorted(div.items()):
         if c > 0:
-            num = poly.mul_binomial_power(num, j, int(c))
+            num = poly.mul_binomial_power(num, j, c)
         else:
-            negatives.append((j, -int(c)))
+            negatives.append((j, -c))
     for j, c in negatives:
         for _ in range(c):
             num = poly.divexact_shift(num, j)
@@ -94,10 +108,9 @@ def oracle_expand(div: OrlikDivisor) -> CharPolynomial:
     no shortcut with ``char_poly_from_divisor``; the two must agree bit for
     bit on every divisor that encodes a polynomial.
     """
-    div.require_integral("expansion")
     num, den = [1], [1]
     for j, c in sorted(div.items()):
-        block = poly.inflate(poly.power([-1, 1], abs(int(c))), j)
+        block = poly.inflate(poly.power([-1, 1], abs(c)), j)
         if c > 0:
             num = poly.mul(num, block)
         else:
@@ -115,8 +128,8 @@ class LinkInvariants:
     ``multiplicity_of_unity`` is the coefficient sum: b_1 for a 3-variable
     link, b_2 for a 4-variable one.  ``delta_at_one`` is present exactly
     when that multiplicity vanishes and is then the order of H_2 torsion.
-    ``char_poly`` is populated only when the expanded degree fits under the
-    requested cap.  ``genus`` is present for 3-variable links only.
+    ``char_poly`` is populated only when the expanded degree fits under
+    ``MAX_POLY_DEGREE``.  ``genus`` is present for 3-variable links only.
     """
 
     divisor: OrlikDivisor
@@ -139,13 +152,18 @@ class LinkInvariants:
         }
 
 
-def invariants_from_divisor(
-    div: OrlikDivisor,
-    *,
-    genus: int | None = None,
-    max_poly_degree: int = MAX_POLY_DEGREE,
-) -> LinkInvariants:
-    """Assemble the invariant record for an already computed divisor."""
+def require_order_digits(digits: float) -> None:
+    """Raise ``InputError`` for a torsion order of more than MAX_ORDER_DIGITS digits."""
+    if digits > MAX_ORDER_DIGITS:
+        raise InputError(f"the torsion order has more than {MAX_ORDER_DIGITS} digits")
+
+
+def invariants_from_divisor(div: OrlikDivisor, *, genus: int | None = None) -> LinkInvariants:
+    """Assemble the invariant record for an already computed divisor.
+
+    The torsion order's digits are estimated as sum_j c_j log10 j and
+    bounded by ``require_order_digits`` before any power is computed.
+    """
     mult = betti_from_divisor(div)
     if genus is not None and 2 * genus != mult:
         raise CrossCheckError(
@@ -153,6 +171,11 @@ def invariants_from_divisor(
         )
     delta_at_one = None
     if mult == 0:
+        try:
+            digits = sum(c * log10(j) for j, c in div.items())
+        except OverflowError:  # a coefficient past the float range
+            digits = inf
+        require_order_digits(digits)
         value = div.value_at_one()
         if value.denominator != 1 or value <= 0:
             raise ConsistencyError(
@@ -160,7 +183,7 @@ def invariants_from_divisor(
             )
         delta_at_one = int(value)
     char_poly = None
-    if div.polynomial_degree() <= max_poly_degree:
+    if div.polynomial_degree() <= MAX_POLY_DEGREE:
         char_poly = char_poly_from_divisor(div)
         if poly.degree(char_poly) != div.polynomial_degree():
             raise ConsistencyError("expanded polynomial degree disagrees with divisor")
@@ -180,23 +203,21 @@ def invariants_from_divisor(
     )
 
 
-def link_invariants(
-    ws: WeightSystem, *, max_poly_degree: int = MAX_POLY_DEGREE
-) -> LinkInvariants:
+def link_invariants(ws: WeightSystem) -> LinkInvariants:
     """Full invariant record of the link of a weight system.
 
     For three variables the genus is computed independently and checked
     against the divisor's multiplicity (first Betti number = twice the
-    genus); a mismatch raises ``CrossCheckError``.  A fractional divisor,
-    or one with a negative root multiplicity, is rejected up front: no
-    quasi-smooth polynomial has it, so there is no link whose invariants
-    these would be.
+    genus); a mismatch raises ``CrossCheckError``.  A Milnor-Orlik product
+    that is not integral, or has a negative root multiplicity, is rejected
+    up front with ``NotASmoothCurveError``: no quasi-smooth polynomial has
+    it, so there is no link whose invariants these would be.
     """
     div = milnor_orlik_divisor(ws)
-    if not div.is_integral() or not div.encodes_polynomial():
+    if div is None or not div.encodes_polynomial():
         raise NotASmoothCurveError(
             f"divisor of {ws} is fractional or has a negative root multiplicity; "
             "no quasi-smooth polynomial realizes these weights"
         )
     genus = ws.genus() if ws.n == 3 else None
-    return invariants_from_divisor(div, genus=genus, max_poly_degree=max_poly_degree)
+    return invariants_from_divisor(div, genus=genus)

@@ -12,10 +12,14 @@ is carried along as a constant 0.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import product
+from itertools import islice, product
+from math import log10, prod
 
-from .errors import require_int
+from .errors import InputError, require_int
+from .invariants import require_order_digits
 from .primes import factorize
+
+MAX_CANDIDATES = 10_000
 
 
 @dataclass(frozen=True)
@@ -82,11 +86,22 @@ def smale_decompositions(k: int) -> list:
     ordered deterministically: primes ascending set the digit order, and
     each prime's partitions run in reverse lexicographic order, first
     prime's partition varying slowest.  k = 1 yields the 5-sphere alone.
+
+    A k^2 past ``require_order_digits``, or more than ``MAX_CANDIDATES``
+    candidates, raises ``InputError``; finding the latter out enumerates
+    at most ``MAX_CANDIDATES + 1`` partitions per prime.
     """
     require_int(k, 1, "expected a positive integer order")
+    require_order_digits(2 * log10(k))
     per_prime = [
-        [(p, parts) for parts in partitions_desc(e)] for p, e in factorize(k)
+        [(p, parts) for parts in islice(partitions_desc(e), MAX_CANDIDATES + 1)]
+        for p, e in factorize(k)
     ]
+    if prod(map(len, per_prime)) > MAX_CANDIDATES:
+        raise InputError(
+            f"more than {MAX_CANDIDATES} manifolds have |H_2| = k^2 for k = {k}; "
+            "enumeration stops there"
+        )
     out = []
     for combo in product(*per_prime):
         summands = tuple((p, s) for p, parts in combo for s in parts)

@@ -95,7 +95,7 @@ def check_genus_betti_duality(grid) -> PropertyCheck:
     """Coefficient sum of the divisor equals twice the genus on the grid."""
     check = PropertyCheck("genus_betti_duality")
     for ws, g, div in grid:
-        mult = int(div.coefficient_sum())
+        mult = div.coefficient_sum()
         check.record(
             mult == 2 * g,
             lambda ws=ws, g=g, mult=mult: f"{ws}: multiplicity {mult} != 2 * genus {g}",
@@ -128,7 +128,7 @@ def check_oracle_agreement(grid) -> PropertyCheck:
             # both routes rejected the divisor as non-polynomial; there is
             # no value at t = 1 to compare
             continue
-        mult = int(div.coefficient_sum())
+        mult = div.coefficient_sum()
         vanishes = poly.eval_at_one(oracle) == 0
         check.record(
             vanishes == (mult > 0),
@@ -157,7 +157,7 @@ def check_cover_two_path(grid, max_k: int = 12) -> PropertyCheck:
                 direct == via_relation,
                 lambda ws=ws, k=k: f"{ws}, k={k}: cover divisor paths disagree",
             )
-            mult = int(via_relation.coefficient_sum())
+            mult = via_relation.coefficient_sum()
             check.record(
                 mult == 0,
                 lambda ws=ws, k=k, mult=mult: f"{ws}, k={k}: b_2 = {mult}, expected 0",
@@ -176,19 +176,21 @@ def build_grid(max_degree: int) -> tuple:
     """The regression grid: (system, genus, divisor) triples, plus a skip count.
 
     Genus integrality is only a proxy for the weight system cutting out a
-    quasi-smooth curve; some systems pass it and still produce a fractional
-    divisor (the smallest is w=(1,4,6), d=8, genus formula 0 but divisor
-    coefficients in thirds).  Those carry no link for the theorems to talk
-    about, so they are skipped and counted instead of failing the sweep.
+    quasi-smooth curve; some systems pass it and still have a Milnor-Orlik
+    product that is not integral (the smallest is w=(1,4,6), d=8, genus
+    formula 0 but divisor coefficients in thirds), for which
+    ``milnor_orlik_divisor`` returns None.  Those carry no link for the
+    theorems to talk about, so they are skipped and counted instead of
+    failing the sweep.
     """
     grid = []
     skipped = 0
     for ws, g in iter_integral_genus_systems(max_degree):
         div = milnor_orlik_divisor(ws)
-        if div.is_integral():
-            grid.append((ws, g, div))
-        else:
+        if div is None:
             skipped += 1
+        else:
+            grid.append((ws, g, div))
     return grid, skipped
 
 

@@ -48,7 +48,7 @@ def test_criterion_2_family_genus_one_two_ways():
     for p in primes:
         member = family_member(p)
         assert member.system.genus() == 1, p
-        inv = link_invariants(member.system, max_poly_degree=0)
+        inv = link_invariants(member.system)
         assert inv.multiplicity_of_unity == 2, p
     _passed(2, "genus 1 and b_1 = 2 agree on the first 20 family primes")
 

@@ -2,6 +2,9 @@
 
 import json
 import time
+from math import prod
+
+import pytest
 
 from whlink.cli import main
 
@@ -203,6 +206,45 @@ def test_primes_limit_past_cap_is_input_error(capsys):
     assert code == 1
     assert out == ""
     assert "at most 10000000" in err
+
+
+# the product of the primes below 5300, a k of 2256 digits
+_PRIMORIAL_5300 = prod(
+    p for p in range(2, 5300) if all(p % q for q in range(2, int(p**0.5) + 1))
+)
+
+
+@pytest.mark.parametrize(
+    "argv, reason",
+    [
+        # the torsion order k^342 has about 4446 digits
+        (["cover", "--weights", "1,1,1", "--degree", "20", "-k", "10000000000001"], "digits"),
+        # the torsion order 2^999000, genus 499500, has about 300729 digits
+        (["cover", "--weights", "1,1,1", "--degree", "1001", "-k", "2"], "digits"),
+        # cover coefficients past the float range, about 10^320
+        (["cover", "--weights", "1,1,1", "--degree", str(10**160), "-k", "3"], "digits"),
+        # p(50) = 204226 partitions of the exponent of 2^50
+        (["smale-enum", str(2**50)], "more than 10000"),
+        (["smale-enum", str(_PRIMORIAL_5300)], "digits"),
+        (["search", "--genus", "0", "--max-degree", "65"], "at most 64"),
+    ],
+    ids=[
+        "cover-large-k",
+        "cover-large-degree",
+        "cover-huge-coefficients",
+        "smale-many-candidates",
+        "smale-large-k",
+        "search-degree",
+    ],
+)
+def test_oversized_inputs_are_input_errors(capsys, argv, reason):
+    start = time.perf_counter()
+    code, out, err = run(capsys, *argv)
+    assert time.perf_counter() - start < 2.0
+    assert code == 1
+    assert out == ""
+    assert err.startswith("whlink: ") and err.count("\n") == 1
+    assert reason in err
 
 
 def test_link_huge_degree_is_fast(capsys):

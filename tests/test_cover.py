@@ -5,6 +5,7 @@ import pytest
 from whlink import (
     CoprimalityError,
     InputError,
+    NotASmoothCurveError,
     WeightSystem,
     build_cover,
     cover_divisor,
@@ -82,7 +83,7 @@ def test_build_cover_skip_direct_path():
 
 
 def test_build_cover_large_k_divisor_only():
-    cover = build_cover(CUBIC, 10**6 + 1, max_poly_degree=10_000)
+    cover = build_cover(CUBIC, 10**6 + 1)
     assert cover.h2_order == (10**6 + 1) ** 2
     assert cover.invariants.char_poly is None
 
@@ -115,6 +116,12 @@ def test_diagnose_cover_without_coprimality():
     assert system == WeightSystem((3, 3, 3, 3), 9)
     assert inv.multiplicity_of_unity == 6
     assert inv.delta_at_one is None
+
+
+def test_diagnose_cover_rejects_fractional_product():
+    # (1,4,6; 8) has a product in thirds, and so does its cover by k = 3
+    with pytest.raises(NotASmoothCurveError):
+        diagnose_cover(WeightSystem((1, 4, 6), 8), 3)
 
 
 def test_diagnose_cover_matches_relation_path():

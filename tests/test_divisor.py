@@ -7,11 +7,12 @@ import pytest
 
 from whlink import (
     InvalidIndexError,
-    NonIntegralDivisorError,
     OrlikDivisor,
     PoleAtOneError,
+    WeightSystem,
     ZeroAtOneError,
     lam,
+    milnor_orlik_divisor,
 )
 from whlink.divisor import relation_holds
 from whlink.errors import require_int
@@ -101,9 +102,37 @@ def test_scalar_coercion_matches_lam1():
 
 
 def test_scale():
-    assert OrlikDivisor({7: 1}) / 3 == OrlikDivisor({7: Fraction(1, 3)})
     assert (2 * lam(7) - lam(2)) * 0 == OrlikDivisor()
-    assert OrlikDivisor({7: Fraction(1, 2)}) * 2 == lam(7)
+    assert lam(7) * 2 == OrlikDivisor({7: 2})
+    assert -3 * (lam(7) - 1) == OrlikDivisor({7: -3, 1: 3})
+
+
+def test_fractional_coefficients_are_rejected():
+    # the ring is integral: a fraction is not a coefficient, and there is no
+    # division to make one
+    with pytest.raises(TypeError):
+        OrlikDivisor({7: Fraction(1, 3)})
+    with pytest.raises(TypeError):
+        lam(7) / 3
+    with pytest.raises(TypeError):
+        OrlikDivisor({7: True})
+
+
+def test_is_integral():
+    # every ring operation keeps plain int coefficients
+    d = (3 * lam(7) - 1) * (lam(2) - 2) + lam(7) - lam(7) - (-lam(3))
+    assert all(type(c) is int for _, c in d.items())
+    assert all(type(c) is int for _, c in OrlikDivisor().items())
+
+
+def test_fractions_that_cancel_store_as_integers():
+    # (lam(7) - 1)(lam(7)/2 - 1)(lam(7)/3 - 1) has halves and thirds that
+    # cancel; the product over the common denominator 6 stores ints
+    d = milnor_orlik_divisor(WeightSystem((1, 2, 3), 7))
+    assert d == OrlikDivisor({7: 3, 1: -1})
+    assert all(type(c) is int for _, c in d.items())
+    with pytest.raises(TypeError):
+        lam(7) / 2 + lam(7) / 2
 
 
 def test_coefficient_sum():
@@ -141,7 +170,9 @@ def test_value_at_one_pole():
 
 
 def test_value_at_one_requires_integrality():
-    with pytest.raises(NonIntegralDivisorError):
+    # a fractional divisor cannot be formed, so it never reaches the value
+    assert (lam(7) - 1).value_at_one() == 7
+    with pytest.raises(TypeError):
         (lam(7) / 3).value_at_one()
 
 
@@ -152,18 +183,6 @@ def test_reduced_value_is_multiplicative():
         a.reduced_value_at_one() * b.reduced_value_at_one()
         == (a + b).reduced_value_at_one()
     )
-
-
-def test_is_integral():
-    assert not OrlikDivisor({7: Fraction(1, 3)}).is_integral()
-    assert (3 * lam(7) - 1).is_integral()
-    assert OrlikDivisor().is_integral()
-
-
-def test_fractions_that_cancel_store_as_integers():
-    d = lam(7) / 2 + lam(7) / 2
-    assert d == lam(7)
-    assert d.is_integral()
 
 
 def test_structural_equality_and_hash():
@@ -193,14 +212,14 @@ def test_immutability():
 
 
 def test_json_round_trip():
-    d = 3 * lam(6) - lam(2) / 3 + 1
+    d = 3 * lam(6) - lam(2) + 1
     data = d.as_json()
     assert data == [
         {"j": 1, "num": "1", "den": "1"},
-        {"j": 2, "num": "-1", "den": "3"},
+        {"j": 2, "num": "-1", "den": "1"},
         {"j": 6, "num": "3", "den": "1"},
     ]
-    assert OrlikDivisor.from_json(data) == d
+    assert OrlikDivisor({t["j"]: int(t["num"]) for t in data}) == d
 
 
 def test_encodes_polynomial():
@@ -216,7 +235,9 @@ def test_encodes_polynomial():
 
 
 def test_encodes_polynomial_requires_integrality():
-    with pytest.raises(NonIntegralDivisorError):
+    # a fractional divisor cannot be formed, so it is never tested
+    assert (3 * lam(7) - 1).encodes_polynomial()
+    with pytest.raises(TypeError):
         (lam(7) / 3).encodes_polynomial()
 
 

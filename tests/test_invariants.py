@@ -5,8 +5,8 @@ from itertools import permutations
 import pytest
 
 from whlink import (
+    MAX_POLY_DEGREE,
     MalformedDivisorError,
-    NonIntegralDivisorError,
     NotAPolynomialError,
     NotASmoothCurveError,
     OrlikDivisor,
@@ -32,8 +32,15 @@ def test_divisor_cubic():
 
 
 def test_divisor_family_member_has_rational_intermediates():
-    # (lam(7) - 1)(lam(7)/2 - 1)(lam(7)/3 - 1) collapses to integers
+    # (lam(7) - 1)(lam(7)/2 - 1)(lam(7)/3 - 1) collapses to integers: the
+    # integer product (lam(7) - 1)(lam(7) - 2)(lam(7) - 3) is 18 lam(7) - 6
     assert milnor_orlik_divisor(WeightSystem((1, 2, 3), 7)) == 3 * lam(7) - 1
+
+
+def test_divisor_not_integral_is_none():
+    # genus formula integral, but the product has coefficients in thirds
+    assert milnor_orlik_divisor(WeightSystem((1, 4, 6), 8)) is None
+    assert milnor_orlik_divisor(WeightSystem((7, 1, 1), 3)) is None
 
 
 def test_divisor_poincare():
@@ -41,9 +48,11 @@ def test_divisor_poincare():
 
 
 def test_divisor_association_order_irrelevant():
+    # the integer factors lam(u) - v multiply to prod v = 6 times the divisor
+    # in any order
     ws = WeightSystem((1, 2, 3), 7)
-    factors = [lam(u) / v - 1 for u, v in ws.reduced_ratios()]
-    reference = milnor_orlik_divisor(ws)
+    factors = [lam(u) - v for u, v in ws.reduced_ratios()]
+    reference = 6 * milnor_orlik_divisor(ws)
     for order in permutations(factors):
         product = OrlikDivisor.one()
         for f in order:
@@ -63,7 +72,8 @@ def test_betti_rejects_negative_sum():
 
 
 def test_betti_rejects_fractional():
-    with pytest.raises(NonIntegralDivisorError):
+    # lam(3) / 2 is no longer a divisor: the division itself is refused
+    with pytest.raises(TypeError):
         betti_from_divisor(lam(3) / 2)
 
 
@@ -136,9 +146,11 @@ def test_link_invariants_four_variable_cover():
 
 
 def test_link_invariants_respects_poly_degree_cap():
-    inv = link_invariants(WeightSystem((1, 2, 3), 7), max_poly_degree=10)
+    # the plane curve of degree 30: polynomial degree 29^3 = 24389 > 10000
+    inv = link_invariants(WeightSystem((1, 1, 1), 30))
+    assert inv.divisor.polynomial_degree() == 24389 > MAX_POLY_DEGREE
     assert inv.char_poly is None
-    assert inv.multiplicity_of_unity == 2
+    assert inv.multiplicity_of_unity == 2 * inv.genus == 812
 
 
 def test_link_invariants_rejects_unrealizable_system():

@@ -1,27 +1,15 @@
 """Property-based tests for the algebraic laws the pipeline leans on."""
 
 from fractions import Fraction
+from math import gcd
 
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from whlink import OrlikDivisor, WeightSystem, lam
+from whlink import OrlikDivisor, WeightSystem, lam, milnor_orlik_divisor
 from whlink import polynomials as poly
 
-coefficients = st.one_of(
-    st.integers(min_value=-9, max_value=9).filter(bool),
-    st.fractions(
-        min_value=Fraction(-5), max_value=Fraction(5), max_denominator=6
-    ).filter(bool),
-)
-
 divisors = st.dictionaries(
-    keys=st.integers(min_value=1, max_value=60),
-    values=coefficients,
-    max_size=5,
-).map(OrlikDivisor)
-
-integral_divisors = st.dictionaries(
     keys=st.integers(min_value=1, max_value=60),
     values=st.integers(min_value=-6, max_value=6).filter(bool),
     max_size=5,
@@ -62,7 +50,7 @@ def test_canonical_idempotence(d):
     assert all(c != 0 for _, c in d.items())
 
 
-@given(integral_divisors, integral_divisors)
+@given(divisors, divisors)
 def test_reduced_value_multiplicative(a, b):
     assert (
         a.reduced_value_at_one() * b.reduced_value_at_one()
@@ -70,10 +58,10 @@ def test_reduced_value_multiplicative(a, b):
     )
 
 
-@given(integral_divisors)
+@given(divisors)
 def test_value_at_one_defined_when_balanced(d):
     # rebalance the lam(1) coefficient so the sum vanishes
-    balanced = d - int(d.coefficient_sum()) * lam(1)
+    balanced = d - d.coefficient_sum() * lam(1)
     assert balanced.value_at_one() == balanced.reduced_value_at_one()
 
 
@@ -86,7 +74,7 @@ lattice_divisors = st.dictionaries(
 ).map(OrlikDivisor)
 
 
-@given(st.one_of(integral_divisors, lattice_divisors))
+@given(st.one_of(divisors, lattice_divisors))
 @example(lam(12) - lam(4) - lam(6) + lam(1))  # fails only at order 2 = gcd(4, 6)
 @settings(max_examples=600)
 def test_encodes_polynomial_matches_definition(d):
@@ -111,9 +99,38 @@ weight_systems = st.builds(
 def test_reduced_ratio_law(ws):
     for (u, v), w in zip(ws.reduced_ratios(), ws.weights):
         assert u * w == ws.degree * v
-        from math import gcd
-
         assert gcd(u, v) == 1
+
+
+def rational_milnor_orlik(ws):
+    """prod (lam(u)/v - 1) on plain {j: Fraction} maps, by the gcd/lcm rule."""
+    product = {1: Fraction(1)}
+    for u, v in ws.reduced_ratios():
+        factor = {u: Fraction(1, v)}
+        factor[1] = factor.get(1, 0) - 1
+        out = {}
+        for a, ca in product.items():
+            for b, cb in factor.items():
+                g = gcd(a, b)
+                out[a * b // g] = out.get(a * b // g, 0) + ca * cb * g
+        product = {j: c for j, c in out.items() if c}
+    return product
+
+
+@given(weight_systems)
+@example(WeightSystem((1, 4, 6), 8))
+@example(WeightSystem((7, 1, 1), 3))
+@settings(max_examples=300)
+def test_milnor_orlik_matches_rational_product(ws):
+    # None exactly when the rational product has a fractional coefficient,
+    # and otherwise the same coefficients
+    reference = milnor_orlik_divisor(ws)
+    product = rational_milnor_orlik(ws)
+    if any(c.denominator != 1 for c in product.values()):
+        assert reference is None
+    else:
+        assert reference is not None
+        assert dict(reference.items()) == {j: int(c) for j, c in product.items()}
 
 
 @given(st.lists(st.integers(min_value=-8, max_value=8), max_size=8),

@@ -77,7 +77,7 @@ def test_family_genus_one_and_betti_two():
     for p in FIRST_20_FAMILY_PRIMES:
         member = family_member(p)
         assert member.system.genus() == 1
-        inv = link_invariants(member.system, max_poly_degree=0)
+        inv = link_invariants(member.system)
         assert inv.multiplicity_of_unity == 2
 
 
@@ -148,6 +148,29 @@ def test_smale_decompositions_trivial():
     assert candidates[0].h2_order() == 1
 
 
+def test_smale_decompositions_candidate_bound():
+    # p(32) = 8349 candidates are listed; p(33) = 10143 and p(20)^2 = 393129
+    # are more than 10000
+    assert len(smale_decompositions(2**32)) == 8349
+    with pytest.raises(InputError, match="more than 10000"):
+        smale_decompositions(2**33)
+    with pytest.raises(InputError, match="more than 10000"):
+        smale_decompositions(2**20 * 3**20)
+
+
+def test_smale_decompositions_order_digit_bound():
+    # squarefree k, one candidate each, until k^2 passes 4000 digits
+    primes = [p for p in range(2, 6000) if is_prime(p)]
+    k = 1
+    for p in primes:
+        if 2 * len(str(k * p)) > 4000:
+            break
+        k *= p
+    assert len(smale_decompositions(k)) == 1
+    with pytest.raises(InputError, match="digits"):
+        smale_decompositions(k * p)
+
+
 def test_smale_decompositions_12():
     assert [m.orders() for m in smale_decompositions(12)] == [(4, 3), (2, 2, 3)]
 
@@ -203,6 +226,8 @@ def test_search_validates_bounds():
         search_weight_systems(True, 10)
     with pytest.raises(InputError):
         search_weight_systems(1, 10.0)
+    with pytest.raises(InputError):
+        search_weight_systems(0, 65)
 
 
 def test_search_matches_filtered_grid():
@@ -232,6 +257,6 @@ def test_every_prime_degree_genus_one_system_realizes_orders():
     for ws in search_weight_systems(1, 60):
         if not is_prime(ws.degree) or gcd(ws.degree, k) != 1:
             continue
-        cover = build_cover(ws, k, max_poly_degree=0)
+        cover = build_cover(ws, k)
         assert cover.h2_order == k * k, ws
         assert cover.invariants.multiplicity_of_unity == 0, ws
