@@ -12,12 +12,14 @@ prod_j (t^j - 1)^{c_j}; link invariants downstream are read off that
 encoding without ever expanding the polynomial unless asked to.
 
 Coefficients are ints and nothing else, so a fractional divisor cannot be
-represented.  A product whose factors carry denominators, such as the
-Milnor-Orlik product of the lam(u)/v - 1, is formed over one common
-denominator from the integer factors lam(u) - v and divided exactly at
-the end (see ``invariants.milnor_orlik_divisor``).  Canonical form prunes
-zero coefficients immediately after every operation; two divisors are
-equal exactly when their canonical term maps are equal.
+represented.  The Milnor-Orlik product of the lam(u)/v - 1, whose factors
+carry denominators, is built outside the ring: the product of the integer
+factors lam(u) - v is expanded over the subsets of the factors as plain
+int coefficients keyed by index, merged as they are formed, over one
+common denominator and divided exactly at the end (see
+``invariants.milnor_orlik_divisor``).  Canonical
+form prunes zero coefficients immediately after every operation; two
+divisors are equal exactly when their canonical term maps are equal.
 """
 
 from __future__ import annotations
@@ -68,13 +70,6 @@ class OrlikDivisor:
         self = object.__new__(cls)
         object.__setattr__(self, "_terms", _normalized(terms))
         return self
-
-    # -- construction ----------------------------------------------------
-
-    @classmethod
-    def one(cls) -> "OrlikDivisor":
-        """The ring identity, the divisor of t - 1."""
-        return cls({1: 1})
 
     # -- immutability / equality -----------------------------------------
 

@@ -25,10 +25,10 @@ digits, it computes and prints (larger ones are rejected as input).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import inf, log10
+from math import gcd, inf, log10
 
 from . import polynomials as poly
-from .divisor import OrlikDivisor, lam
+from .divisor import OrlikDivisor
 from .errors import (
     ConsistencyError,
     CrossCheckError,
@@ -50,24 +50,39 @@ CharPolynomial = list
 def milnor_orlik_divisor(ws: WeightSystem) -> OrlikDivisor | None:
     """Divisor of the monodromy characteristic polynomial of the link.
 
-    The product prod (lam(u_i) - v_i) of integer factors is divided
-    exactly by prod v_i at the end.  The quotient is integral for an
-    actual quasi-smooth polynomial; for formal weight systems that no such
-    polynomial has, such as w=(1,4,6), d=8, a coefficient leaves a
+    The product prod (lam(u_i) - v_i) of integer factors is expanded over
+    the subsets S of the weights.  Since lam(a) lam(b) = gcd(a, b) lam(lcm(a, b)),
+    each S contributes the single term
+
+        (-1)^{n-|S|} * (prod_{i in S} u_i / L_S) * prod_{i not in S} v_i * lam(L_S),
+
+    with L_S = lcm{u_i : i in S} and L_{empty} = 1.  Every L_S divides d, so
+    the expansion is built one ratio at a time as plain int coefficients
+    keyed by index, merged as they are formed: at most tau(d) entries
+    whatever the number of weights, without the divisor ring's product.
+    The sums are divided exactly by prod v_i.  The quotient is integral for
+    an actual quasi-smooth polynomial; for formal weight systems that no
+    such polynomial has, such as w=(1,4,6), d=8, a coefficient leaves a
     remainder and the result is None.
     """
-    product = OrlikDivisor.one()
+    terms = {1: 1}
     denominator = 1
     for u, v in ws.reduced_ratios():
-        product = product * (lam(u) - v)
+        expanded = {}
+        for index, c in terms.items():
+            g = gcd(index, u)
+            lcm = index // g * u
+            expanded[lcm] = expanded.get(lcm, 0) + c * g
+            expanded[index] = expanded.get(index, 0) - c * v
+        terms = expanded
         denominator *= v
-    terms = {}
-    for j, c in product.items():
+    quotients = {}
+    for j, c in terms.items():
         q, r = divmod(c, denominator)
         if r:
             return None
-        terms[j] = q
-    return OrlikDivisor(terms)
+        quotients[j] = q
+    return OrlikDivisor._raw(quotients)
 
 
 def betti_from_divisor(div: OrlikDivisor) -> int:

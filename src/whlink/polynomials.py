@@ -5,10 +5,12 @@ first, with no trailing zeros; the zero polynomial is the empty list.
 
 Two deliberately separate tool sets live here.  The generic routines
 (``mul``, ``power``, ``long_divmod``) do schoolbook arithmetic and back the
-brute-force oracle.  The shaped routines (``mul_binomial_power``,
-``divexact_shift``) exploit the two-term structure of t^j - 1 and back the
-production pipeline.  Keeping both lets the test suite compare the pipeline
-against arithmetic that shares none of its shortcuts.
+brute-force oracle only; ``power`` squares and multiplies over the bits of
+the exponent and never uses a binomial recurrence.  The shaped routines
+(``mul_binomial_power``, ``divexact_shift``) exploit the two-term
+structure of t^j - 1 and back the production pipeline.  Keeping both
+lets the test suite compare the pipeline against arithmetic that shares
+none of its shortcuts.
 """
 
 from __future__ import annotations
@@ -43,13 +45,30 @@ def mul(a: list, b: list) -> list:
     return trim(out)
 
 
+def _square(a: list) -> list:
+    """Schoolbook square: each cross product a_i a_k, i < k, formed once and doubled."""
+    n = len(a)
+    out = [0] * (2 * n - 1)
+    for i, ai in enumerate(a):
+        if ai:
+            out[2 * i] += ai * ai
+            twice = 2 * ai
+            for k in range(i + 1, n):
+                ak = a[k]
+                if ak:
+                    out[i + k] += twice * ak
+    return trim(out)
+
+
 def power(base: list, n: int) -> list:
-    """n-fold repeated product of base with itself."""
+    """base^n by square-and-multiply over the bits of n, schoolbook products only."""
     if n < 0:
         raise ValueError("power expects a non-negative exponent")
     out = [1]
-    for _ in range(n):
-        out = mul(out, base)
+    for bit in bin(n)[2:]:
+        out = _square(out)
+        if bit == "1":
+            out = mul(out, base)
     return out
 
 

@@ -22,11 +22,20 @@ from math import gcd
 from . import polynomials as poly
 from .cover import cover_divisor, cover_weights
 from .divisor import relation_holds
-from .errors import NotAPolynomialError
+from .errors import InputError, NotAPolynomialError, require_int
 from .invariants import char_poly_from_divisor, milnor_orlik_divisor, oracle_expand
 from .realization import iter_integral_genus_systems
 
 _FAILURE_CAP = 10
+# Figures from a 2-vCPU Xeon VM.  The grid grows as d^4 in the degree bound:
+# the sweeps take 15 s at --max-degree 40 and 39 s at 48, 36 s of it in the
+# oracle stage; the (1,1,1; 48) oracle cell alone takes 4 s, and (1,1,1; 64)
+# 31 s.
+MAX_VERIFY_DEGREE = 48
+# The cover stage grows linearly in the cover bound, 0.21 s per unit of
+# --max-k at --max-degree 48: `whlink verify --max-degree 48 --max-k 200`
+# takes 84 s for the whole process, at 75 MiB resident.
+MAX_VERIFY_K = 200
 
 
 @dataclass
@@ -195,7 +204,18 @@ def build_grid(max_degree: int) -> tuple:
 
 
 def run_verification(max_degree: int = 40, max_k: int = 12) -> VerificationReport:
-    """Run every sweep at the given bounds and collect one report."""
+    """Run every sweep at the given bounds and collect one report.
+
+    Bounds that leave a sweep empty, or that pass ``MAX_VERIFY_DEGREE`` or
+    ``MAX_VERIFY_K``, raise ``InputError``: an empty sweep is no evidence,
+    and one past the caps runs for minutes.
+    """
+    require_int(max_degree, 1, "max degree must be a positive integer")
+    require_int(max_k, 2, "max k must be an integer >= 2")
+    if max_degree > MAX_VERIFY_DEGREE:
+        raise InputError(f"max degree must be at most {MAX_VERIFY_DEGREE}, got {max_degree}")
+    if max_k > MAX_VERIFY_K:
+        raise InputError(f"max k must be at most {MAX_VERIFY_K}, got {max_k}")
     grid, skipped = build_grid(max_degree)
     checks = [
         check_group_ring_relation(min(max_degree, 40)),

@@ -168,11 +168,40 @@ def test_unrealizable_system_is_input_error(capsys):
     assert "quasi-smooth" in err
 
 
+def assert_input_error(capsys, argv, reason):
+    # exit 1 in both formats, with a one-line reason on stderr and no output
+    for fmt in ("json", "text"):
+        start = time.perf_counter()
+        code, out, err = run(capsys, *argv, "--format", fmt)
+        assert time.perf_counter() - start < 2.0
+        assert code == 1
+        assert out == ""
+        assert err.startswith("whlink: ") and err.count("\n") == 1
+        assert reason in err
+
+
 def test_verify_vacuous_bounds(capsys):
-    code, data, _ = run_json(capsys, "verify", "--max-degree", "0", "--max-k", "2")
-    assert code == 0
-    assert data["ok"] is True
-    assert all(p["checked"] == 0 for p in data["properties"])
+    # bounds that leave the sweeps empty would report a pass that checked nothing
+    for flag, value, reason in (
+        ("--max-degree", "0", "positive integer"),
+        ("--max-degree", "-5", "positive integer"),
+        ("--max-k", "0", ">= 2"),
+        ("--max-k", "-3", ">= 2"),
+    ):
+        assert_input_error(capsys, ["verify", flag, value], reason)
+
+
+def test_verify_bounds_past_caps(capsys):
+    from whlink.verify import MAX_VERIFY_DEGREE, MAX_VERIFY_K
+
+    assert_input_error(
+        capsys,
+        ["verify", "--max-degree", str(MAX_VERIFY_DEGREE + 1)],
+        f"at most {MAX_VERIFY_DEGREE}",
+    )
+    assert_input_error(
+        capsys, ["verify", "--max-k", str(MAX_VERIFY_K + 1)], f"at most {MAX_VERIFY_K}"
+    )
 
 
 def test_internal_failure_maps_to_exit_2(capsys, monkeypatch):
@@ -238,13 +267,23 @@ _PRIMORIAL_5300 = prod(
     ],
 )
 def test_oversized_inputs_are_input_errors(capsys, argv, reason):
+    assert_input_error(capsys, argv, reason)
+
+
+def test_many_weights_answer_at_once(capsys):
+    # the Milnor-Orlik expansion stays at most tau(d) terms per factor, so
+    # the number of weights does not make the product blow up
+    weights = ",".join(["1"] * 40)
     start = time.perf_counter()
-    code, out, err = run(capsys, *argv)
+    code, data, _ = run_json(capsys, "link", "--weights", weights, "--degree", "2")
     assert time.perf_counter() - start < 2.0
-    assert code == 1
-    assert out == ""
-    assert err.startswith("whlink: ") and err.count("\n") == 1
-    assert reason in err
+    assert code == 0
+    assert data["betti"] == 1
+    assert_input_error(
+        capsys,
+        ["cover", "--weights", weights, "--degree", "2", "-k", "3"],
+        "3-variable",
+    )
 
 
 def test_link_huge_degree_is_fast(capsys):

@@ -128,3 +128,22 @@ def test_diagnose_cover_matches_relation_path():
     # the divisor identity holds with or without coprimality
     _, inv = diagnose_cover(CUBIC, 3)
     assert inv.divisor == cover_divisor(milnor_orlik_divisor(CUBIC), 3)
+
+
+def test_direct_cover_path_does_not_use_ring_product(monkeypatch):
+    # the direct route must not share the divisor ring's product with the
+    # lam(k) - 1 route it is checked against
+    from whlink.divisor import OrlikDivisor
+
+    cases = [(CUBIC, 2), (WeightSystem((1, 2, 3), 7), 5), (WeightSystem((1, 1, 1), 5), 12)]
+    expected = [cover_divisor(milnor_orlik_divisor(ws), k) for ws, k in cases]
+
+    def refuse(self, other):
+        raise AssertionError("OrlikDivisor product called on the direct route")
+
+    monkeypatch.setattr(OrlikDivisor, "__mul__", refuse)
+    monkeypatch.setattr(OrlikDivisor, "__rmul__", refuse)
+    with pytest.raises(AssertionError):
+        lam(2) * lam(3)
+    for (ws, k), via_relation in zip(cases, expected):
+        assert milnor_orlik_divisor(cover_weights(ws, k)) == via_relation

@@ -4,7 +4,8 @@ Each case runs ``whlink.cli.main`` in-process in both output formats and
 compares stdout byte for byte with ``tests/golden/<case>.json`` or
 ``tests/golden/<case>.txt``, together with the exit code and an empty
 stderr.  Both forms of each optional README flag are covered, and
-``verify`` runs at ``--max-degree 12`` instead of the default bounds.
+``verify`` runs at ``--max-degree 12`` instead of the default bounds, and
+again at ``--max-degree 24``, the bounds the benchmark's sweep times.
 
 Regenerate the files, only when an output change is intended, with
 
@@ -35,6 +36,7 @@ CASES = {
     "primes": ["primes", "--limit", "100"],
     "search": ["search", "--genus", "1", "--max-degree", "12"],
     "verify": ["verify", "--max-degree", "12"],
+    "verify_24": ["verify", "--max-degree", "24"],
 }
 
 

@@ -54,7 +54,7 @@ def test_divisor_association_order_irrelevant():
     factors = [lam(u) - v for u, v in ws.reduced_ratios()]
     reference = 6 * milnor_orlik_divisor(ws)
     for order in permutations(factors):
-        product = OrlikDivisor.one()
+        product = lam(1)
         for f in order:
             product = product * f
         assert product == reference

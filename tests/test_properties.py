@@ -3,6 +3,7 @@
 from fractions import Fraction
 from math import gcd
 
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -122,6 +123,10 @@ def rational_milnor_orlik(ws):
 @example(WeightSystem((7, 1, 1), 3))
 @settings(max_examples=300)
 def test_milnor_orlik_matches_rational_product(ws):
+    assert_matches_rational_product(ws)
+
+
+def assert_matches_rational_product(ws):
     # None exactly when the rational product has a fractional coefficient,
     # and otherwise the same coefficients
     reference = milnor_orlik_divisor(ws)
@@ -131,6 +136,53 @@ def test_milnor_orlik_matches_rational_product(ws):
     else:
         assert reference is not None
         assert dict(reference.items()) == {j: int(c) for j, c in product.items()}
+    return reference, product
+
+
+@pytest.mark.parametrize(
+    "weights, degree, expected",
+    [
+        # a weight equal to d: the factor lam(1) - 1 vanishes
+        ((1, 2, 3), 3, {}),
+        # a weight 2d: u = 1 but v = 2, so the factor is -1/2, not 0, and the
+        # product -(lam(3) + 1)/2 is nonzero and fractional
+        ((1, 1, 6), 3, None),
+        # two weights, x^3 + y^2: the trefoil, t^2 - t + 1
+        ((2, 3), 6, {6: 1, 3: -1, 2: -1, 1: 1}),
+        # five weights, one with v = 2
+        ((1, 1, 1, 1, 2), 3, {3: 3, 1: -1}),
+    ],
+)
+def test_milnor_orlik_pinned_systems(weights, degree, expected):
+    reference, product = assert_matches_rational_product(WeightSystem(weights, degree))
+    if expected is None:
+        assert reference is None and product
+    else:
+        assert dict(reference.items()) == expected
+
+
+def repeated_product(base, n):
+    out = [1]
+    for _ in range(n):
+        out = poly.mul(out, base)
+    return out
+
+
+small_polys = st.lists(st.integers(min_value=-5, max_value=5), max_size=5).map(
+    lambda c: poly.trim(list(c))
+)
+
+
+@given(small_polys, st.integers(min_value=0, max_value=70))
+@example([-1, 1], 31)
+@example([-1, 1], 33)
+@example([2, 0, -3], 63)
+@example([1, 1, 1], 65)
+@example([-1, 1], 64)
+@example([], 5)
+@settings(max_examples=150)
+def test_power_matches_repeated_product(base, n):
+    assert poly.power(base, n) == repeated_product(base, n)
 
 
 @given(st.lists(st.integers(min_value=-8, max_value=8), max_size=8),
