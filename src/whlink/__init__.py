@@ -18,11 +18,8 @@ from .errors import (
     MalformedDivisorError,
     NotAPolynomialError,
     NotASmoothCurveError,
-    PoleAtOneError,
     TwoPathMismatchError,
-    UnitValueError,
     WhlinkError,
-    ZeroAtOneError,
 )
 from .invariants import (
     MAX_POLY_DEGREE,
@@ -66,11 +63,8 @@ __all__ = [
     "MalformedDivisorError",
     "NotAPolynomialError",
     "NotASmoothCurveError",
-    "PoleAtOneError",
     "TwoPathMismatchError",
-    "UnitValueError",
     "WhlinkError",
-    "ZeroAtOneError",
     "MAX_POLY_DEGREE",
     "LinkInvariants",
     "betti_from_divisor",

@@ -4,7 +4,9 @@ Every subcommand emits either human-readable text or canonical JSON; the
 JSON form is byte-stable across identical invocations (sorted keys,
 canonical orderings, big integers as base-10 strings) and is the format
 fixtures should diff against.  Exit codes: 0 success, 1 invalid input,
-2 internal consistency failure.
+2 internal consistency failure.  An error is one line on stderr: in JSON
+mode an object with its ``class``, ``error`` and ``exit_code``, in text
+mode ``whlink: <reason>``.  argparse usage errors are always text.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ import json
 import sys
 
 from .cover import build_cover
-from .errors import InputError, WhlinkError
+from .errors import CrossCheckError, InputError, WhlinkError
 from .invariants import link_invariants
 from .primes import primes_4l_minus_1
 from .realization import realize, search_weight_systems
@@ -188,8 +190,7 @@ def _cmd_verify(args) -> int:
             for failure in check.failures:
                 print(f"    {failure}")
     if not report.ok:
-        print("verification failed", file=sys.stderr)
-        return 2
+        raise CrossCheckError("verification failed")
     return 0
 
 
@@ -263,12 +264,18 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         return args.func(args)
-    except InputError as exc:
-        print(f"whlink: {exc}", file=sys.stderr)
-        return 1
     except WhlinkError as exc:
-        print(f"whlink: internal consistency failure: {exc}", file=sys.stderr)
-        return 2
+        code = 1 if isinstance(exc, InputError) else 2
+        reason = str(exc) if code == 1 else f"internal consistency failure: {exc}"
+        if args.format == "json":
+            line = json.dumps(
+                {"class": type(exc).__name__, "error": reason, "exit_code": code},
+                sort_keys=True,
+            )
+        else:
+            line = f"whlink: {reason}"
+        print(line, file=sys.stderr)
+        return code
 
 
 def entry_point() -> None:

@@ -27,12 +27,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import gcd
 
-from .errors import (
-    InvalidIndexError,
-    PoleAtOneError,
-    ZeroAtOneError,
-    require_int,
-)
+from .errors import InvalidIndexError, require_int
 
 
 def _normalized(terms: dict) -> dict:
@@ -50,18 +45,11 @@ class OrlikDivisor:
     __slots__ = ("_terms",)
 
     def __init__(self, terms=None):
-        canonical = {}
-        if terms is not None:
-            items = terms.items() if hasattr(terms, "items") else terms
-            for j, c in items:
-                require_int(j, 1, "generator index must be a positive integer", InvalidIndexError)
-                require_int(c, None, "coefficient must be an int", TypeError)
-                c = canonical.get(j, 0) + c
-                if c:
-                    canonical[j] = c
-                elif j in canonical:
-                    del canonical[j]
-        object.__setattr__(self, "_terms", _normalized(canonical))
+        terms = terms or {}
+        for j, c in terms.items():
+            require_int(j, 1, "generator index must be a positive integer", InvalidIndexError)
+            require_int(c, None, "coefficient must be an int", TypeError)
+        object.__setattr__(self, "_terms", _normalized(terms))
 
     @classmethod
     def _raw(cls, terms: dict) -> "OrlikDivisor":
@@ -218,21 +206,6 @@ class OrlikDivisor:
             else:
                 den *= j**-c
         return Fraction(num, den)
-
-    def value_at_one(self) -> Fraction:
-        """Value of prod (t^j - 1)^{c_j} at t = 1, when finite and nonzero.
-
-        The coefficient sum must vanish.  A positive sum means the product
-        is 0 at t = 1 and raises ``ZeroAtOneError`` tagged with the
-        multiplicity, so callers can tell a positive-Betti link apart from
-        an arithmetic mistake; a negative sum raises ``PoleAtOneError``.
-        """
-        s = self.coefficient_sum()
-        if s > 0:
-            raise ZeroAtOneError(s)
-        if s < 0:
-            raise PoleAtOneError(-s)
-        return self.reduced_value_at_one()
 
     # -- serialization -----------------------------------------------------
 

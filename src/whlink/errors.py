@@ -40,33 +40,6 @@ class FamilyDomainError(InputError):
     """The prime handed to the genus-one family is not of the form 4l - 1."""
 
 
-class UnitValueError(WhlinkError):
-    """Evaluating prod (t^j - 1)^{c_j} at t = 1 with unbalanced exponents."""
-
-    def __init__(self, coefficient_sum, message):
-        super().__init__(message)
-        self.coefficient_sum = coefficient_sum
-
-
-class ZeroAtOneError(UnitValueError):
-    """The product vanishes at t = 1; carries the vanishing multiplicity."""
-
-    def __init__(self, multiplicity):
-        super().__init__(
-            multiplicity,
-            f"value at t = 1 is 0 with multiplicity {multiplicity}",
-        )
-        self.multiplicity = multiplicity
-
-
-class PoleAtOneError(UnitValueError):
-    """The product has a pole at t = 1; carries the pole order."""
-
-    def __init__(self, order):
-        super().__init__(-order, f"pole of order {order} at t = 1")
-        self.order = order
-
-
 class NotAPolynomialError(WhlinkError):
     """A divisor's encoded product is not an honest polynomial.
 

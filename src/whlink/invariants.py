@@ -191,7 +191,7 @@ def invariants_from_divisor(div: OrlikDivisor, *, genus: int | None = None) -> L
         except OverflowError:  # a coefficient past the float range
             digits = inf
         require_order_digits(digits)
-        value = div.value_at_one()
+        value = div.reduced_value_at_one()
         if value.denominator != 1 or value <= 0:
             raise ConsistencyError(
                 f"torsion order came out as {value}, not a positive integer"

@@ -1,11 +1,12 @@
 """Deterministic primality and the family primes congruent to 3 mod 4.
 
 A certificate-producing tool cannot afford probabilistic primality, so
-``is_prime`` is trial division below 10**6 and a fixed strong-pseudoprime
-witness battery above.  The battery {2, 3, ..., 37} is proven correct for
-every n below 3317044064679887385961981 (Sorenson-Webster), far past any
-input this package meets; larger n is rejected outright rather than
-answered with less than certainty.
+``is_prime`` runs a fixed strong-pseudoprime witness battery, the first 13
+primes {2, 3, ..., 41}.  Sorenson and Webster (Math. Comp. 86, 2017) prove
+it correct for every n below 3317044064679887385961981, the least strong
+pseudoprime to all 13 bases; the first 12 alone already fail at
+318665857834031151167461 = 399165290221 * 798330580441.  Larger n is
+rejected outright rather than answered with less than certainty.
 """
 
 from __future__ import annotations
@@ -17,13 +18,13 @@ from .errors import InputError, require_int
 _TRIAL_LIMIT = 10**6
 # largest limit primes_4l_minus_1 sieves up to: a 10 MB flag table
 MAX_SIEVE_LIMIT = 10**7
-_MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+_MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 _MR_PROVEN_BOUND = 3_317_044_064_679_887_385_961_981
 
 
 def _strong_probable_prime(n: int, a: int) -> bool:
-    if a % n == 0:
-        return True
+    # is_prime calls this only for n > 41 with no witness prime dividing it,
+    # so the base a is a unit mod n
     d, s = n - 1, 0
     while d % 2 == 0:
         d //= 2
@@ -43,22 +44,13 @@ def is_prime(n: int) -> bool:
     require_int(n, None, "primality is defined for integers")
     if n < 2:
         return False
-    if n < _TRIAL_LIMIT:
-        if n % 2 == 0:
-            return n == 2
-        f = 3
-        while f * f <= n:
-            if n % f == 0:
-                return False
-            f += 2
-        return True
     if n >= _MR_PROVEN_BOUND:
         raise InputError(
             f"{n} exceeds the deterministically proven primality range"
         )
-    for p in (2, 3, 5, 7, 11, 13):
+    for p in _MR_WITNESSES:
         if n % p == 0:
-            return False
+            return n == p
     return all(_strong_probable_prime(n, a) for a in _MR_WITNESSES)
 
 

@@ -39,7 +39,7 @@ def family_member(p: int) -> FamilyMember:
 
     Only primes congruent to 3 mod 4 qualify: otherwise (p+1)/4 is not an
     integer.  The genus is recomputed and must come out 1; the middle and
-    last weights are l and 2l - 1, always coprime.
+    last weights are l and 2l - 1, coprime since gcd(l, 2l - 1) = gcd(l, 1).
     """
     require_int(p, 3, "family degree must be prime", FamilyDomainError)
     if not is_prime(p):
@@ -50,8 +50,6 @@ def family_member(p: int) -> FamilyMember:
         )
     l = (p + 1) // 4
     system = WeightSystem((1, l, (p - 1) // 2), p)
-    if gcd(l, 2 * l - 1) != 1:
-        raise ConsistencyError(f"weights of the degree-{p} member are not coprime")
     g = system.genus()
     if g != 1:
         raise ConsistencyError(f"degree-{p} family member has genus {g}, expected 1")

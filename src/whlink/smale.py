@@ -11,9 +11,10 @@ is carried along as a constant 0.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import islice, product
 from math import log10, prod
+from typing import ClassVar
 
 from .errors import InputError, require_int
 from .invariants import require_order_digits
@@ -31,7 +32,7 @@ class SmaleManifold:
     """
 
     summands: tuple
-    i_invariant: int = field(default=0)
+    i_invariant: ClassVar[int] = 0
 
     def orders(self) -> tuple:
         """The block orders p^s, in stored canonical order."""

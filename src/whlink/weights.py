@@ -135,7 +135,3 @@ class WeightSystem:
     def as_json(self) -> dict:
         return {"weights": list(self.weights), "degree": self.degree}
 
-    @classmethod
-    def from_json(cls, data) -> "WeightSystem":
-        return cls(tuple(int(w) for w in data["weights"]), int(data["degree"]))
-

@@ -6,6 +6,7 @@ from math import prod
 
 import pytest
 
+from whlink import errors
 from whlink.cli import main
 
 
@@ -168,6 +169,20 @@ def test_unrealizable_system_is_input_error(capsys):
     assert "quasi-smooth" in err
 
 
+def assert_error_line(fmt, err, code, reason, base=errors.InputError):
+    # one line on stderr: a JSON object in JSON mode, "whlink: <reason>" in text
+    assert err.count("\n") == 1 and err.endswith("\n")
+    if fmt == "json":
+        error = json.loads(err)
+        assert set(error) == {"class", "error", "exit_code"}
+        assert issubclass(getattr(errors, error["class"]), base)
+        assert error["exit_code"] == code
+        assert reason in error["error"]
+    else:
+        assert err.startswith("whlink: ")
+        assert reason in err
+
+
 def assert_input_error(capsys, argv, reason):
     # exit 1 in both formats, with a one-line reason on stderr and no output
     for fmt in ("json", "text"):
@@ -176,8 +191,7 @@ def assert_input_error(capsys, argv, reason):
         assert time.perf_counter() - start < 2.0
         assert code == 1
         assert out == ""
-        assert err.startswith("whlink: ") and err.count("\n") == 1
-        assert reason in err
+        assert_error_line(fmt, err, 1, reason)
 
 
 def test_verify_vacuous_bounds(capsys):
@@ -205,15 +219,35 @@ def test_verify_bounds_past_caps(capsys):
 
 
 def test_internal_failure_maps_to_exit_2(capsys, monkeypatch):
-    from whlink.errors import ConsistencyError
-
     def boom(ws):
-        raise ConsistencyError("synthetic failure")
+        raise errors.ConsistencyError("synthetic failure")
 
     monkeypatch.setattr("whlink.cli.link_invariants", boom)
-    code, out, err = run(capsys, "link", "--weights", "1,1,1", "--degree", "3")
-    assert code == 2
-    assert "internal consistency" in err
+    for fmt in ("json", "text"):
+        code, out, err = run(
+            capsys, "link", "--weights", "1,1,1", "--degree", "3", "--format", fmt
+        )
+        assert code == 2
+        assert out == ""
+        assert_error_line(
+            fmt, err, 2, "internal consistency failure: synthetic failure", errors.ConsistencyError
+        )
+
+
+def test_verify_failure_is_an_error_line(capsys, monkeypatch):
+    from whlink.verify import PropertyCheck, VerificationReport
+
+    def failing(max_degree, max_k):
+        check = PropertyCheck("oracle_agreement")
+        check.record(False, lambda: "synthetic mismatch")
+        return VerificationReport(max_degree, max_k, 1, 0, [check])
+
+    monkeypatch.setattr("whlink.cli.run_verification", failing)
+    for fmt in ("json", "text"):
+        code, out, err = run(capsys, "verify", "--format", fmt)
+        assert code == 2
+        assert "synthetic mismatch" in out
+        assert_error_line(fmt, err, 2, "verification failed", errors.CrossCheckError)
 
 
 def test_fractional_divisor_systems_are_input_errors(capsys):
@@ -256,6 +290,10 @@ _PRIMORIAL_5300 = prod(
         (["smale-enum", str(2**50)], "more than 10000"),
         (["smale-enum", str(_PRIMORIAL_5300)], "digits"),
         (["search", "--genus", "0", "--max-degree", "65"], "at most 64"),
+        # psi_12 = 399165290221 * 798330580441 passes the first 12 prime
+        # witnesses; it must not be taken for a prime
+        (["smale-enum", "318665857834031151167461"], "cannot factor"),
+        (["realize", "318665857834031151167461"], "cannot factor"),
     ],
     ids=[
         "cover-large-k",
@@ -264,6 +302,8 @@ _PRIMORIAL_5300 = prod(
         "smale-many-candidates",
         "smale-large-k",
         "search-degree",
+        "smale-psi12",
+        "realize-psi12",
     ],
 )
 def test_oversized_inputs_are_input_errors(capsys, argv, reason):

@@ -59,13 +59,6 @@ def test_reduced_value_multiplicative(a, b):
     )
 
 
-@given(divisors)
-def test_value_at_one_defined_when_balanced(d):
-    # rebalance the lam(1) coefficient so the sum vanishes
-    balanced = d - d.coefficient_sum() * lam(1)
-    assert balanced.value_at_one() == balanced.reduced_value_at_one()
-
-
 # indices among the divisors of 120, so that gcds of support indices are
 # often themselves outside the support
 lattice_divisors = st.dictionaries(

@@ -37,8 +37,8 @@ def test_first_twenty_family_primes():
 
 
 def test_is_prime_against_sieve():
-    flags = sieve(2000)
-    for n in range(2000):
+    flags = sieve(20_000)
+    for n in range(20_000):
         assert is_prime(n) == flags[n], n
 
 
@@ -46,6 +46,35 @@ def test_is_prime_large_values():
     assert is_prime(2**61 - 1)
     assert not is_prime(2**67 - 1)  # 193707721 * 761838257287
     assert is_prime(10**18 + 9)
+
+
+# psi_m, the least strong pseudoprime to each of the first m prime bases,
+# for m = 1..12 (psi_5 = psi_6 and psi_7 = psi_8); each one fools every
+# witness battery shorter than m + 1 primes
+STRONG_PSEUDOPRIMES = [
+    2047,
+    1373653,
+    25326001,
+    3215031751,
+    2152302898747,
+    3474749660383,
+    341550071728321,
+    3825123056546413051,
+    318665857834031151167461,
+]
+
+
+@pytest.mark.parametrize("n", STRONG_PSEUDOPRIMES)
+def test_is_prime_rejects_strong_pseudoprimes(n):
+    assert not is_prime(n)
+
+
+def test_is_prime_proven_range():
+    # psi_13 is where the 13-prime battery stops being a proof; the largest
+    # prime below it is still answered
+    assert is_prime(3317044064679887385961813)
+    with pytest.raises(InputError):
+        is_prime(3317044064679887385961981)
 
 
 def test_factorize():
