@@ -17,7 +17,7 @@ import sys
 
 from .cover import build_cover
 from .errors import CrossCheckError, InputError, WhlinkError
-from .invariants import link_invariants
+from .invariants import link_divisor, link_invariants
 from .primes import primes_4l_minus_1
 from .realization import realize, search_weight_systems
 from .smale import smale_decompositions
@@ -66,6 +66,7 @@ def _add_format_flag(parser) -> None:
 def _cmd_genus(args) -> int:
     ws = _system_from_args(args)
     g = ws.genus()
+    link_divisor(ws)
     if args.format == "json":
         _emit_json(
             {

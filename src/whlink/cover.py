@@ -16,22 +16,23 @@ point: every cover built is a self-test of the whole pipeline.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import gcd
+from math import gcd, log10
 
 from .divisor import OrlikDivisor, lam
 from .errors import (
     CoprimalityError,
     CrossCheckError,
     InputError,
-    NotASmoothCurveError,
     TwoPathMismatchError,
     require_int,
 )
 from .invariants import (
     LinkInvariants,
     invariants_from_divisor,
+    link_divisor,
     link_invariants,
     milnor_orlik_divisor,
+    require_digits,
 )
 from .weights import WeightSystem
 
@@ -83,6 +84,8 @@ def cover_weights(base: WeightSystem, k: int) -> WeightSystem:
         raise CoprimalityError(
             f"cover exponent {k} must be coprime to the degree {base.degree}"
         )
+    largest = max(system.weights + (system.degree,))
+    require_digits(largest.bit_length() * log10(2), "a cover weight or degree")
     return system
 
 
@@ -145,14 +148,11 @@ def build_cover(
 def diagnose_cover(base: WeightSystem, k: int) -> tuple[WeightSystem, LinkInvariants]:
     """Invariants of z_0^k over a base without the coprimality hypothesis.
 
-    Reports whatever the divisor calculus says, asserting nothing: with
-    gcd(d, k) > 1 the cover need not be a rational homology sphere, so the
-    returned record may carry a positive multiplicity and no torsion order.
-    A cover system whose Milnor-Orlik product is not integral raises
-    ``NotASmoothCurveError``.
+    Base and cover system both pass ``link_divisor``.  Beyond that nothing
+    is asserted: with gcd(d, k) > 1 the cover need not be a rational
+    homology sphere, so the returned record may carry a positive
+    multiplicity and no torsion order.
     """
     system = _adjoin_power(base, k)
-    div = milnor_orlik_divisor(system)
-    if div is None:
-        raise NotASmoothCurveError(f"divisor of {system} is fractional")
-    return system, invariants_from_divisor(div)
+    link_divisor(base)
+    return system, invariants_from_divisor(link_divisor(system))

@@ -86,8 +86,6 @@ class OrlikDivisor:
         """Coefficient of lam(j), an int."""
         return self._terms.get(j, 0)
 
-    __getitem__ = coefficient
-
     def __repr__(self):
         body = ", ".join(f"{j}: {c}" for j, c in self.items())
         return f"OrlikDivisor({{{body}}})"

@@ -23,13 +23,13 @@ class InvalidIndexError(InputError):
 class NotASmoothCurveError(InputError):
     """No quasi-smooth curve has these weights.
 
-    Raised when the genus formula returns a negative or fractional value,
-    or the Milnor-Orlik product does not come out integral or has a
-    negative root multiplicity.
-    These are proxy filters for the weight system cutting out an actual
-    quasi-smooth curve; this package does not verify quasi-smoothness
-    itself.
+    Raised by ``WeightSystem.genus`` and ``invariants.link_divisor``.
     """
+
+    def __str__(self):
+        # a callable message is formatted when read: the genus scans drop most unread
+        message = self.args[0]
+        return message() if callable(message) else message
 
 
 class CoprimalityError(InputError):

@@ -18,8 +18,8 @@ sum_j a_j lam(j) - 1.  Everything else is read off that divisor:
 
 Two module-level caps bound the work: ``MAX_POLY_DEGREE`` is the largest
 polynomial the pipeline expands (larger ones are reported as divisors
-only), and ``MAX_ORDER_DIGITS`` the largest torsion order, in decimal
-digits, it computes and prints (larger ones are rejected as input).
+only), and ``MAX_ORDER_DIGITS`` the most decimal digits of a torsion order
+or divisor coefficient it computes and prints (more are rejected as input).
 """
 
 from __future__ import annotations
@@ -83,6 +83,24 @@ def milnor_orlik_divisor(ws: WeightSystem) -> OrlikDivisor | None:
             return None
         quotients[j] = q
     return OrlikDivisor._raw(quotients)
+
+
+def link_divisor(ws: WeightSystem) -> OrlikDivisor:
+    """The Milnor-Orlik divisor, for every entry point that takes a weight system.
+
+    A product that is not integral, or has a negative root multiplicity,
+    raises ``NotASmoothCurveError``: no quasi-smooth polynomial has it, so
+    there is no link.  A coefficient past ``MAX_ORDER_DIGITS`` raises ``InputError``.
+    """
+    div = milnor_orlik_divisor(ws)
+    if div is None or not div.encodes_polynomial():
+        raise NotASmoothCurveError(
+            f"divisor of {ws} is fractional or has a negative root multiplicity; "
+            "no quasi-smooth polynomial realizes these weights"
+        )
+    largest = max((abs(c) for _j, c in div.items()), default=0)
+    require_digits(largest.bit_length() * log10(2), "a divisor coefficient")
+    return div
 
 
 def betti_from_divisor(div: OrlikDivisor) -> int:
@@ -167,17 +185,17 @@ class LinkInvariants:
         }
 
 
-def require_order_digits(digits: float) -> None:
-    """Raise ``InputError`` for a torsion order of more than MAX_ORDER_DIGITS digits."""
+def require_digits(digits: float, what: str) -> None:
+    """Raise ``InputError`` when ``what`` has more than MAX_ORDER_DIGITS digits."""
     if digits > MAX_ORDER_DIGITS:
-        raise InputError(f"the torsion order has more than {MAX_ORDER_DIGITS} digits")
+        raise InputError(f"{what} has more than {MAX_ORDER_DIGITS} digits")
 
 
 def invariants_from_divisor(div: OrlikDivisor, *, genus: int | None = None) -> LinkInvariants:
     """Assemble the invariant record for an already computed divisor.
 
     The torsion order's digits are estimated as sum_j c_j log10 j and
-    bounded by ``require_order_digits`` before any power is computed.
+    bounded by ``require_digits`` before any power is computed.
     """
     mult = betti_from_divisor(div)
     if genus is not None and 2 * genus != mult:
@@ -190,7 +208,7 @@ def invariants_from_divisor(div: OrlikDivisor, *, genus: int | None = None) -> L
             digits = sum(c * log10(j) for j, c in div.items())
         except OverflowError:  # a coefficient past the float range
             digits = inf
-        require_order_digits(digits)
+        require_digits(digits, "the torsion order")
         value = div.reduced_value_at_one()
         if value.denominator != 1 or value <= 0:
             raise ConsistencyError(
@@ -221,18 +239,11 @@ def invariants_from_divisor(div: OrlikDivisor, *, genus: int | None = None) -> L
 def link_invariants(ws: WeightSystem) -> LinkInvariants:
     """Full invariant record of the link of a weight system.
 
-    For three variables the genus is computed independently and checked
-    against the divisor's multiplicity (first Betti number = twice the
-    genus); a mismatch raises ``CrossCheckError``.  A Milnor-Orlik product
-    that is not integral, or has a negative root multiplicity, is rejected
-    up front with ``NotASmoothCurveError``: no quasi-smooth polynomial has
-    it, so there is no link whose invariants these would be.
+    The divisor comes from ``link_divisor``.  For three variables the
+    genus is computed independently and checked against the divisor's
+    multiplicity (first Betti number = twice the genus); a mismatch raises
+    ``CrossCheckError``.
     """
-    div = milnor_orlik_divisor(ws)
-    if div is None or not div.encodes_polynomial():
-        raise NotASmoothCurveError(
-            f"divisor of {ws} is fractional or has a negative root multiplicity; "
-            "no quasi-smooth polynomial realizes these weights"
-        )
+    div = link_divisor(ws)
     genus = ws.genus() if ws.n == 3 else None
     return invariants_from_divisor(div, genus=genus)

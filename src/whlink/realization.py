@@ -16,7 +16,15 @@ from dataclasses import dataclass
 from math import gcd
 
 from .cover import CoverLink, build_cover
-from .errors import ConsistencyError, CoprimalityError, FamilyDomainError, InputError, require_int
+from .errors import (
+    ConsistencyError,
+    CoprimalityError,
+    FamilyDomainError,
+    InputError,
+    NotASmoothCurveError,
+    require_int,
+)
+from .invariants import link_divisor
 from .smale import SmaleManifold, smale_decompositions
 from .primes import family_prime_candidates, is_prime
 from .weights import WeightSystem
@@ -126,11 +134,10 @@ def iter_integral_genus_systems(max_degree: int, target_genus: int | None = None
 
     Weights run over 1 <= w_1 <= w_2 <= w_3 <= d, restricted to primitive
     triples (non-primitive ones present the same links with the genus
-    formula out of its domain); systems whose genus formula is fractional
-    or negative are skipped.  This is the regression grid the verification
-    suite sweeps.  With ``target_genus`` given only systems of that genus
-    are yielded, and for a positive target the scan stops w_3 where the
-    weights sum past the degree, since those systems have genus zero.
+    formula out of its domain); systems that ``WeightSystem.genus``
+    rejects are skipped.  With ``target_genus`` given only systems of that
+    genus are yielded, and for a positive target the scan stops w_3 where
+    the weights sum past the degree, since those systems have genus zero.
     """
     for d in range(1, max_degree + 1):
         for w1 in range(1, d + 1):
@@ -141,11 +148,12 @@ def iter_integral_genus_systems(max_degree: int, target_genus: int | None = None
                     if gcd(g12, w3) != 1:
                         continue
                     ws = WeightSystem((w1, w2, w3), d)
-                    value = ws.genus_value()
-                    if value.denominator != 1 or value.numerator < 0:
+                    try:
+                        g = ws.genus()
+                    except NotASmoothCurveError:
                         continue
-                    if target_genus is None or value.numerator == target_genus:
-                        yield ws, value.numerator
+                    if target_genus is None or g == target_genus:
+                        yield ws, g
 
 
 # the scan is O(d^4): genus 0 takes 2.5 s at d = 60, 3.7 s at d = 64 and
@@ -156,11 +164,19 @@ MAX_SEARCH_DEGREE = 64
 def search_weight_systems(target_genus: int, max_degree: int) -> list:
     """All sorted 3-variable systems of the given genus up to max_degree.
 
-    Results are ordered by degree, then lexicographically by weights.  A
+    Only systems that pass ``link_divisor`` are listed.  Results are
+    ordered by degree, then lexicographically by weights.  A
     ``max_degree`` above ``MAX_SEARCH_DEGREE`` is rejected, not scanned.
     """
     require_int(target_genus, 0, "target genus must be a non-negative integer")
     require_int(max_degree, 3, "max degree must be an integer >= 3")
     if max_degree > MAX_SEARCH_DEGREE:
         raise InputError(f"max degree must be at most {MAX_SEARCH_DEGREE}, got {max_degree}")
-    return [ws for ws, _g in iter_integral_genus_systems(max_degree, target_genus)]
+    hits = []
+    for ws, _g in iter_integral_genus_systems(max_degree, target_genus):
+        try:
+            link_divisor(ws)
+        except NotASmoothCurveError:
+            continue
+        hits.append(ws)
+    return hits

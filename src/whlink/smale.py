@@ -17,7 +17,7 @@ from math import log10, prod
 from typing import ClassVar
 
 from .errors import InputError, require_int
-from .invariants import require_order_digits
+from .invariants import require_digits
 from .primes import factorize
 
 MAX_CANDIDATES = 10_000
@@ -88,12 +88,12 @@ def smale_decompositions(k: int) -> list:
     each prime's partitions run in reverse lexicographic order, first
     prime's partition varying slowest.  k = 1 yields the 5-sphere alone.
 
-    A k^2 past ``require_order_digits``, or more than ``MAX_CANDIDATES``
+    A k^2 past ``require_digits``, or more than ``MAX_CANDIDATES``
     candidates, raises ``InputError``; finding the latter out enumerates
     at most ``MAX_CANDIDATES + 1`` partitions per prime.
     """
     require_int(k, 1, "expected a positive integer order")
-    require_order_digits(2 * log10(k))
+    require_digits(2 * log10(k), "the torsion order")
     per_prime = [
         [(p, parts) for parts in islice(partitions_desc(e), MAX_CANDIDATES + 1)]
         for p, e in factorize(k)

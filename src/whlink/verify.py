@@ -22,8 +22,8 @@ from math import gcd
 from . import polynomials as poly
 from .cover import cover_divisor, cover_weights
 from .divisor import relation_holds
-from .errors import InputError, NotAPolynomialError, require_int
-from .invariants import char_poly_from_divisor, milnor_orlik_divisor, oracle_expand
+from .errors import InputError, NotAPolynomialError, NotASmoothCurveError, require_int
+from .invariants import char_poly_from_divisor, link_divisor, milnor_orlik_divisor, oracle_expand
 from .realization import iter_integral_genus_systems
 
 _FAILURE_CAP = 10
@@ -117,26 +117,21 @@ def check_oracle_agreement(grid) -> PropertyCheck:
 
     The value comparison strips the (t - 1)^multiplicity factor off the
     oracle polynomial by reading the matching coefficient of p(1 + s),
-    then checks it against the divisor-side product of the j^{c_j}.
+    then checks it against the divisor-side product of the j^{c_j}.  Grid
+    divisors encode polynomials, so a route that refuses one fails.
     """
     check = PropertyCheck("oracle_agreement")
     for ws, _g, div in grid:
         try:
             pipeline = char_poly_from_divisor(div)
-        except NotAPolynomialError:
-            pipeline = None
-        try:
             oracle = oracle_expand(div)
-        except NotAPolynomialError:
-            oracle = None
+        except NotAPolynomialError as exc:
+            check.record(False, lambda ws=ws, exc=exc: f"{ws}: {exc}")
+            continue
         check.record(
             pipeline == oracle,
             lambda ws=ws: f"{ws}: polynomial expansions disagree",
         )
-        if oracle is None:
-            # both routes rejected the divisor as non-polynomial; there is
-            # no value at t = 1 to compare
-            continue
         mult = div.coefficient_sum()
         vanishes = poly.eval_at_one(oracle) == 0
         check.record(
@@ -184,22 +179,16 @@ def check_cover_two_path(grid, max_k: int = 12) -> PropertyCheck:
 def build_grid(max_degree: int) -> tuple:
     """The regression grid: (system, genus, divisor) triples, plus a skip count.
 
-    Genus integrality is only a proxy for the weight system cutting out a
-    quasi-smooth curve; some systems pass it and still have a Milnor-Orlik
-    product that is not integral (the smallest is w=(1,4,6), d=8, genus
-    formula 0 but divisor coefficients in thirds), for which
-    ``milnor_orlik_divisor`` returns None.  Those carry no link for the
-    theorems to talk about, so they are skipped and counted instead of
-    failing the sweep.
+    Systems of integral genus that ``link_divisor`` rejects have no link
+    for the theorems to talk about, so they are counted, not swept.
     """
     grid = []
     skipped = 0
     for ws, g in iter_integral_genus_systems(max_degree):
-        div = milnor_orlik_divisor(ws)
-        if div is None:
+        try:
+            grid.append((ws, g, link_divisor(ws)))
+        except NotASmoothCurveError:
             skipped += 1
-        else:
-            grid.append((ws, g, div))
     return grid, skipped
 
 

@@ -71,17 +71,10 @@ class WeightSystem:
         """Sum of the weights, the positivity index of the base orbifold."""
         return sum(self.weights)
 
-    def is_primitive(self) -> bool:
-        """True when the weights share no common factor (effective action)."""
-        g = 0
-        for w in self.weights:
-            g = gcd(g, w)
-        return g == 1
+    def genus(self) -> int:
+        """Genus of the curve cut out by the weight system.
 
-    def genus_value(self) -> Fraction:
-        """The genus formula evaluated exactly, before any integrality check.
-
-        For weights (w_1, w_2, w_3) and degree d this is
+        For weights (w_1, w_2, w_3) and degree d the formula is
 
             1/2 * ( d^2 / (w_1 w_2 w_3)
                     - d * sum_{i<j} gcd(w_i, w_j) / (w_i w_j)
@@ -92,16 +85,18 @@ class WeightSystem:
         all weights are 1.  The formula presumes the circle action is
         effective, so weights with a common factor are rejected: the
         caller should divide it out of both the weights and the degree
-        (which leaves the ratios, hence the divisor, unchanged).
+        (which leaves the ratios, hence the divisor, unchanged).  A
+        fractional or negative value raises ``NotASmoothCurveError``; it is
+        never rounded away.
         """
         if self.n != 3:
             raise InputError("the genus formula is defined for exactly three weights")
-        if not self.is_primitive():
+        w1, w2, w3 = self.weights
+        if gcd(w1, w2, w3) != 1:
             raise InputError(
                 f"weights of {self} share a common factor; rescale to the "
                 "primitive weight system, which has the same link"
             )
-        w1, w2, w3 = self.weights
         d = self.degree
         # cleared of denominators: every term below is the formula term
         # times 2 * w1 * w2 * w3
@@ -114,23 +109,13 @@ class WeightSystem:
             + gcd(d, w3) * w1 * w2
             - product
         )
-        return Fraction(numerator, 2 * product)
-
-    def genus(self) -> int:
-        """Genus of the curve cut out by the weight system.
-
-        A fractional or negative formula value means no quasi-smooth curve
-        realizes these weights; integrality is the implemented proxy for
-        quasi-smoothness (which this package does not verify) and failure
-        is reported as an input error, never rounded away.
-        """
-        value = self.genus_value()
-        if value.denominator != 1 or value < 0:
+        genus, remainder = divmod(numerator, 2 * product)
+        if remainder or genus < 0:
             raise NotASmoothCurveError(
-                f"genus formula gives {value} for {self}; "
-                "no quasi-smooth curve has these weights"
+                lambda: f"genus formula gives {Fraction(numerator, 2 * product)} "
+                f"for {self}; no quasi-smooth curve has these weights"
             )
-        return int(value)
+        return genus
 
     def as_json(self) -> dict:
         return {"weights": list(self.weights), "degree": self.degree}

@@ -116,6 +116,10 @@ def test_criterion_grid_duality(sweep):
 
 
 def test_criterion_grid_counts(sweep):
-    """The grid keeps 9219 systems and skips the 883 with fractional divisors."""
-    assert (sweep.systems, sweep.skipped_nonintegral) == (9219, 883)
-    _passed("grid", "9219 systems checked, 883 fractional-divisor systems skipped")
+    """The grid keeps 9218 systems and skips the 884 that ``link_divisor`` rejects."""
+    assert (sweep.systems, sweep.skipped_nonintegral) == (9218, 884)
+    checked = {c.name: c.checked for c in sweep.checks}
+    assert checked["genus_betti_duality"] == 9218
+    assert checked["oracle_agreement"] == 27654
+    assert checked["cover_two_path"] == 168717
+    _passed("grid", "9218 systems checked, 884 systems without a link skipped")

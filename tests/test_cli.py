@@ -257,6 +257,10 @@ def test_fractional_divisor_systems_are_input_errors(capsys):
         ["link", "--weights", "1,4,6", "--degree", "8"],
         ["link", "--weights", "7,1,1", "--degree", "3"],
         ["cover", "--weights", "1,4,6", "--degree", "8", "-k", "3"],
+        ["genus", "--weights", "1,4,6", "--degree", "8"],
+        # integral, with a negative root multiplicity
+        ["link", "--weights", "4,10,27", "--degree", "40"],
+        ["genus", "--weights", "4,10,27", "--degree", "40"],
     ):
         code, out, err = run(capsys, *argv)
         assert code == 1, argv
@@ -277,6 +281,10 @@ _PRIMORIAL_5300 = prod(
 )
 
 
+# a degree of 4290 digits, and the cover exponent one above it
+_D4290 = 10**4289 + 7
+
+
 @pytest.mark.parametrize(
     "argv, reason",
     [
@@ -294,6 +302,13 @@ _PRIMORIAL_5300 = prod(
         # witnesses; it must not be taken for a prime
         (["smale-enum", "318665857834031151167461"], "cannot factor"),
         (["realize", "318665857834031151167461"], "cannot factor"),
+        # the genus and the divisor coefficient d^2 - 3d + 3 have about 4400 digits
+        (["genus", "--weights", "1,1,1", "--degree", str(10**2200 + 1)], "digits"),
+        (["link", "--weights", "1,1,1", "--degree", str(10**2200 + 1)], "digits"),
+        # a divisor coefficient of about d^39, 4680 digits
+        (["link", "--weights", ",".join(["1"] * 40), "--degree", str(10**120 + 1)], "digits"),
+        # the cover degree k d has about 8580 digits
+        (["cover", "--weights", f"1,1,{_D4290}", "--degree", str(_D4290), "-k", str(_D4290 + 1)], "digits"),
     ],
     ids=[
         "cover-large-k",
@@ -304,6 +319,10 @@ _PRIMORIAL_5300 = prod(
         "search-degree",
         "smale-psi12",
         "realize-psi12",
+        "genus-huge-genus",
+        "link-huge-coefficient",
+        "link-many-weights-huge-coefficient",
+        "cover-huge-weights",
     ],
 )
 def test_oversized_inputs_are_input_errors(capsys, argv, reason):

@@ -119,9 +119,17 @@ def test_diagnose_cover_without_coprimality():
 
 
 def test_diagnose_cover_rejects_fractional_product():
-    # (1,4,6; 8) has a product in thirds, and so does its cover by k = 3
+    # (1,4,6; 8) has a product in thirds, and so does its cover by k = 3;
+    # its cover by k = 4 has an integral product, but the base still fails
+    for k in (3, 4):
+        with pytest.raises(NotASmoothCurveError):
+            diagnose_cover(WeightSystem((1, 4, 6), 8), k)
+
+
+def test_diagnose_cover_rejects_negative_root_multiplicity():
+    # (4,10,27; 40) has an integral product with a negative root multiplicity
     with pytest.raises(NotASmoothCurveError):
-        diagnose_cover(WeightSystem((1, 4, 6), 8), 3)
+        diagnose_cover(WeightSystem((4, 10, 27), 40), 3)
 
 
 def test_diagnose_cover_matches_relation_path():

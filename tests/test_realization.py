@@ -19,6 +19,7 @@ from whlink import (
 from whlink.primes import sieve
 from whlink.realization import iter_integral_genus_systems
 from whlink.smale import partitions_desc
+from whlink.verify import build_grid
 
 FIRST_20_FAMILY_PRIMES = [
     3, 7, 11, 19, 23, 31, 43, 47, 59, 67,
@@ -260,12 +261,24 @@ def test_search_validates_bounds():
 
 
 def test_search_matches_filtered_grid():
-    # the positive-genus skip drops no system of the target genus
-    grid = list(iter_integral_genus_systems(14))
+    # search and the verify grid ask the same gate, and the positive-genus
+    # skip drops no system of the target genus
+    grid, _skipped = build_grid(14)
     for target in range(4):
-        expected = [ws for ws, g in grid if g == target]
+        expected = [ws for ws, g, _div in grid if g == target]
         assert search_weight_systems(target, 14) == expected
         assert all(g == target for _ws, g in iter_integral_genus_systems(14, target))
+
+
+def test_every_search_hit_has_a_link():
+    # (1,4,6; 14) and (1,3,10; 15) have genus 1 and no link
+    hits = {target: search_weight_systems(target, 16) for target in range(4)}
+    assert [len(h) for h in hits.values()] == [655, 26, 17, 17]
+    assert WeightSystem((1, 4, 6), 14) not in hits[1]
+    assert WeightSystem((1, 3, 10), 15) not in hits[1]
+    for target, systems in hits.items():
+        for ws in systems:
+            assert link_invariants(ws).genus == target, ws
 
 
 def test_family_member_invariant_violation_unreachable():
