@@ -18,12 +18,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import gcd, log10
 
-from .divisor import OrlikDivisor, lam
+from .divisor import OrlikDivisor
 from .errors import (
     CoprimalityError,
     CrossCheckError,
     InputError,
     TwoPathMismatchError,
+    require_digits,
     require_int,
 )
 from .invariants import (
@@ -32,7 +33,6 @@ from .invariants import (
     link_divisor,
     link_invariants,
     milnor_orlik_divisor,
-    require_digits,
 )
 from .weights import WeightSystem
 
@@ -92,7 +92,8 @@ def cover_weights(base: WeightSystem, k: int) -> WeightSystem:
 def cover_divisor(base_div: OrlikDivisor, k: int) -> OrlikDivisor:
     """Divisor of the cover: (lam(k) - 1) times the base divisor."""
     require_int(k, 2, _EXPONENT)
-    return (lam(k) - 1) * base_div
+    # lam(k) - 1 written out as its two terms, distinct since k >= 2
+    return OrlikDivisor._raw({k: 1, 1: -1}) * base_div
 
 
 def build_cover(

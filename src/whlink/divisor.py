@@ -190,12 +190,13 @@ class OrlikDivisor:
             sum(c for j, c in self._terms.items() if j % e == 0) >= 0 for e in orders
         )
 
-    def reduced_value_at_one(self) -> Fraction:
+    def reduced_value_at_one(self) -> int | Fraction:
         """Value at t = 1 of the encoded product with all t - 1 factors cancelled.
 
         Each t^j - 1 contributes a simple zero at t = 1 with cofactor j, so
         after dividing out (t - 1)^{coefficient_sum} the value is
-        prod_j j^{c_j}, a rational number defined for every divisor.
+        prod_j j^{c_j}, a rational number defined for every divisor.  It is
+        returned as an int when it is one, as a ``Fraction`` otherwise.
         """
         num = den = 1
         for j, c in self._terms.items():
@@ -203,7 +204,8 @@ class OrlikDivisor:
                 num *= j**c
             else:
                 den *= j**-c
-        return Fraction(num, den)
+        quotient, remainder = divmod(num, den)
+        return Fraction(num, den) if remainder else quotient
 
     # -- serialization -----------------------------------------------------
 

@@ -1,4 +1,4 @@
-"""Exception hierarchy, and the integer validator every entry point shares.
+"""Exception hierarchy, and the integer validators every entry point shares.
 
 Two families matter to callers: ``InputError`` covers everything a user can
 trigger from the command line (bad weights, non-coprime covers, a prime of
@@ -70,9 +70,22 @@ def require_int(value, minimum, message, error=InputError):
     The message names the offending value; a ``minimum`` of None accepts
     every int.
     """
+    if type(value) is int and (minimum is None or value >= minimum):
+        return  # the common case, without the isinstance tests below
     if (
         not isinstance(value, int)
         or isinstance(value, bool)
         or (minimum is not None and value < minimum)
     ):
         raise error(f"{message}, got {value!r}")
+
+
+# below the 4300 digits Python converts an int to a string by default, with
+# room for the error of a floating-point estimate
+MAX_ORDER_DIGITS = 4000
+
+
+def require_digits(digits: float, what: str) -> None:
+    """Raise ``InputError`` when ``what`` has more than MAX_ORDER_DIGITS digits."""
+    if digits > MAX_ORDER_DIGITS:
+        raise InputError(f"{what} has more than {MAX_ORDER_DIGITS} digits")

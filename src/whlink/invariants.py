@@ -16,10 +16,10 @@ sum_j a_j lam(j) - 1.  Everything else is read off that divisor:
   * the polynomial itself expands to prod_j (t^j - 1)^{c_j}, computed here
     two independent ways so each can police the other.
 
-Two module-level caps bound the work: ``MAX_POLY_DEGREE`` is the largest
-polynomial the pipeline expands (larger ones are reported as divisors
-only), and ``MAX_ORDER_DIGITS`` the most decimal digits of a torsion order
-or divisor coefficient it computes and prints (more are rejected as input).
+Two caps bound the work: ``MAX_POLY_DEGREE`` is the largest polynomial
+the pipeline expands (larger ones are reported as divisors only), and
+``errors.MAX_ORDER_DIGITS`` the most decimal digits of a torsion order or
+divisor coefficient it computes and prints (more are rejected as input).
 """
 
 from __future__ import annotations
@@ -32,17 +32,14 @@ from .divisor import OrlikDivisor
 from .errors import (
     ConsistencyError,
     CrossCheckError,
-    InputError,
     MalformedDivisorError,
     NotAPolynomialError,
     NotASmoothCurveError,
+    require_digits,
 )
 from .weights import WeightSystem
 
 MAX_POLY_DEGREE = 10_000
-# below the 4300 digits Python converts an int to a string by default, with
-# room for the error of a floating-point estimate
-MAX_ORDER_DIGITS = 4000
 
 CharPolynomial = list
 
@@ -183,12 +180,6 @@ class LinkInvariants:
             else [str(c) for c in self.char_poly],
             "delta_at_one": None if self.delta_at_one is None else str(self.delta_at_one),
         }
-
-
-def require_digits(digits: float, what: str) -> None:
-    """Raise ``InputError`` when ``what`` has more than MAX_ORDER_DIGITS digits."""
-    if digits > MAX_ORDER_DIGITS:
-        raise InputError(f"{what} has more than {MAX_ORDER_DIGITS} digits")
 
 
 def invariants_from_divisor(div: OrlikDivisor, *, genus: int | None = None) -> LinkInvariants:

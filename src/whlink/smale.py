@@ -16,8 +16,7 @@ from itertools import islice, product
 from math import log10, prod
 from typing import ClassVar
 
-from .errors import InputError, require_int
-from .invariants import require_digits
+from .errors import InputError, require_digits, require_int
 from .primes import factorize
 
 MAX_CANDIDATES = 10_000

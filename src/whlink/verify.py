@@ -27,14 +27,15 @@ from .invariants import char_poly_from_divisor, link_divisor, milnor_orlik_divis
 from .realization import iter_integral_genus_systems
 
 _FAILURE_CAP = 10
-# Figures from a 2-vCPU Xeon VM.  The grid grows as d^4 in the degree bound:
-# the sweeps take 15 s at --max-degree 40 and 39 s at 48, 36 s of it in the
-# oracle stage; the (1,1,1; 48) oracle cell alone takes 4 s, and (1,1,1; 64)
-# 31 s.
+# Figures from a 2-vCPU Xeon VM, whose speed varies by about a third from
+# run to run.  The grid grows as d^4 in the degree bound: the sweeps take
+# 9 to 13 s at --max-degree 40 and 32 to 40 s at 48, all but 2 s of it in
+# the oracle stage; the (1,1,1; 48) oracle cell alone takes 4 s, and
+# (1,1,1; 64) 31 s.
 MAX_VERIFY_DEGREE = 48
-# The cover stage grows linearly in the cover bound, 0.21 s per unit of
-# --max-k at --max-degree 48: `whlink verify --max-degree 48 --max-k 200`
-# takes 84 s for the whole process, at 75 MiB resident.
+# The cover stage grows linearly in the cover bound, 0.13 to 0.20 s per unit
+# of --max-k at --max-degree 48: `whlink verify --max-degree 48 --max-k 200`
+# takes 80 s for the whole process, at 75 MiB resident.
 MAX_VERIFY_K = 200
 
 

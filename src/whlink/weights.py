@@ -10,9 +10,17 @@ index of the quotient orbifold.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
+from math import gcd, log10
 
-from .errors import InputError, NotASmoothCurveError, require_int
+from .errors import MAX_ORDER_DIGITS, InputError, NotASmoothCurveError, require_int
+
+
+def _printable(value: Fraction) -> str:
+    """``value`` as text, or its size when it has too many digits to print."""
+    digits = max(value.numerator.bit_length(), value.denominator.bit_length()) * log10(2)
+    if digits > MAX_ORDER_DIGITS:
+        return f"a value of more than {MAX_ORDER_DIGITS} digits"
+    return str(value)
 
 
 class WeightSystem:
@@ -112,7 +120,7 @@ class WeightSystem:
         genus, remainder = divmod(numerator, 2 * product)
         if remainder or genus < 0:
             raise NotASmoothCurveError(
-                lambda: f"genus formula gives {Fraction(numerator, 2 * product)} "
+                lambda: f"genus formula gives {_printable(Fraction(numerator, 2 * product))} "
                 f"for {self}; no quasi-smooth curve has these weights"
             )
         return genus

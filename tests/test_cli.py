@@ -305,6 +305,9 @@ _D4290 = 10**4289 + 7
         # the genus and the divisor coefficient d^2 - 3d + 3 have about 4400 digits
         (["genus", "--weights", "1,1,1", "--degree", str(10**2200 + 1)], "digits"),
         (["link", "--weights", "1,1,1", "--degree", str(10**2200 + 1)], "digits"),
+        # a fractional genus whose numerator has about 4400 digits, more than
+        # Python turns into a string: the reason gives its size instead
+        (["genus", "--weights", "2,3,5", "--degree", str(10**2200 + 1)], "more than 4000 digits"),
         # a divisor coefficient of about d^39, 4680 digits
         (["link", "--weights", ",".join(["1"] * 40), "--degree", str(10**120 + 1)], "digits"),
         # the cover degree k d has about 8580 digits
@@ -321,6 +324,7 @@ _D4290 = 10**4289 + 7
         "realize-psi12",
         "genus-huge-genus",
         "link-huge-coefficient",
+        "genus-huge-fractional-genus",
         "link-many-weights-huge-coefficient",
         "cover-huge-weights",
     ],

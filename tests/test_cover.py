@@ -49,6 +49,12 @@ def test_cover_divisor_p7():
     assert cover_divisor(3 * lam(7) - 1, 2) == 3 * lam(14) - 3 * lam(7) - lam(2) + 1
 
 
+@pytest.mark.parametrize("k", [1, True, 0, -3, 2.0])
+def test_cover_divisor_rejects_exponents_below_two(k):
+    with pytest.raises(InputError, match="greater than 1"):
+        cover_divisor(3 * lam(3) - 1, k)
+
+
 def test_cover_divisor_annihilates_zero():
     from whlink import OrlikDivisor
 

@@ -141,7 +141,8 @@ def test_coefficient_sum():
 
 def test_value_at_one_branched_cover_case():
     div = 3 * lam(6) - 3 * lam(3) - lam(2) + 1
-    assert div.reduced_value_at_one() == 4
+    value = div.reduced_value_at_one()
+    assert type(value) is int and value == 4
 
 
 def test_value_at_one_poincare_case():
@@ -149,6 +150,11 @@ def test_value_at_one_poincare_case():
         lam(30) - lam(6) - lam(10) - lam(15) + lam(2) + lam(3) + lam(5) - 1
     )
     assert div.reduced_value_at_one() == 1
+
+
+def test_value_at_one_is_a_fraction_only_when_not_integral():
+    value = (lam(1) - lam(2)).reduced_value_at_one()
+    assert type(value) is Fraction and value == Fraction(1, 2)
 
 
 def test_value_at_one_empty_product():

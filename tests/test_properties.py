@@ -7,7 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from whlink import OrlikDivisor, WeightSystem, lam, milnor_orlik_divisor
+from whlink import OrlikDivisor, WeightSystem, cover_divisor, lam, milnor_orlik_divisor
 from whlink import polynomials as poly
 
 divisors = st.dictionaries(
@@ -49,6 +49,11 @@ def test_add_negation_cancels(d):
 def test_canonical_idempotence(d):
     assert OrlikDivisor(dict(d.items())) == d
     assert all(c != 0 for _, c in d.items())
+
+
+@given(divisors, st.integers(min_value=2, max_value=50))
+def test_cover_divisor_is_the_lam_k_minus_one_product(d, k):
+    assert cover_divisor(d, k) == (lam(k) - 1) * d
 
 
 @given(divisors, divisors)
