@@ -1,12 +1,16 @@
 """Command-line front end.
 
-Every subcommand emits either human-readable text or canonical JSON; the
-JSON form is byte-stable across identical invocations (sorted keys,
-canonical orderings, big integers as base-10 strings) and is the format
-fixtures should diff against.  Exit codes: 0 success, 1 invalid input,
-2 internal consistency failure.  An error is one line on stderr: in JSON
-mode an object with its ``class``, ``error`` and ``exit_code``, in text
-mode ``whlink: <reason>``.  argparse usage errors are always text.
+Each ``_cmd_*`` function computes its answer and returns ``(payload,
+write_text)``: the dict printed by ``--format json``, and a function of
+no arguments that prints the text form, called only in text mode.
+``main`` alone reads ``--format``: it prints one of the two, maps errors
+to exit codes, and exits 2 after printing a payload whose ``"ok"`` is
+false (a failed ``verify``).  The JSON is byte-stable across identical
+invocations (sorted keys, canonical orderings, big integers as base-10
+strings).  Exit codes: 0 success, 1 invalid input, 2 internal
+consistency failure.  An error is one line on stderr: in JSON mode an
+object with its ``class``, ``error`` and ``exit_code``, in text mode
+``whlink: <reason>``.  argparse usage errors are always text.
 """
 
 from __future__ import annotations
@@ -37,48 +41,21 @@ def _emit_json(payload: dict) -> None:
     print(json.dumps(payload, indent=2, sort_keys=True))
 
 
-def _parse_weights(text: str) -> tuple:
-    try:
-        weights = tuple(int(part) for part in text.split(","))
-    except ValueError:
-        raise InputError(f"could not parse weights {text!r}; expected e.g. 1,2,3")
-    return weights
-
-
 def _system_from_args(args) -> WeightSystem:
-    return WeightSystem(_parse_weights(args.weights), args.degree)
+    try:
+        weights = tuple(int(part) for part in args.weights.split(","))
+    except ValueError:
+        raise InputError(f"could not parse weights {args.weights!r}; expected e.g. 1,2,3")
+    return WeightSystem(weights, args.degree)
 
 
-def _add_system_flags(parser) -> None:
-    parser.add_argument("--weights", required=True, help="comma-separated weights, e.g. 1,2,3")
-    parser.add_argument("--degree", required=True, type=int, help="weighted degree d")
-
-
-def _add_format_flag(parser) -> None:
-    parser.add_argument(
-        "--format",
-        choices=("json", "text"),
-        default="text",
-        help="output format (default: text)",
-    )
-
-
-def _cmd_genus(args) -> int:
+def _cmd_genus(args) -> tuple:
     ws = _system_from_args(args)
     g = ws.genus()
     link_divisor(ws)
-    if args.format == "json":
-        _emit_json(
-            {
-                "weights": list(ws.weights),
-                "degree": ws.degree,
-                "genus": g,
-                "fano_index": ws.fano_index(),
-            }
-        )
-    else:
-        print(f"{ws}: genus {g}, Fano index {ws.fano_index()}")
-    return 0
+    fano = ws.fano_index()
+    payload = {"weights": list(ws.weights), "degree": ws.degree, "genus": g, "fano_index": fano}
+    return payload, lambda: print(f"{ws}: genus {g}, Fano index {fano}")
 
 
 def _describe_link(ws, inv) -> str:
@@ -93,106 +70,94 @@ def _describe_link(ws, inv) -> str:
     return "\n".join(lines)
 
 
-def _cmd_link(args) -> int:
+def _cmd_link(args) -> tuple:
     ws = _system_from_args(args)
     inv = link_invariants(ws)
-    if args.format == "json":
-        _emit_json(inv.as_json(ws))
-    else:
-        print(_describe_link(ws, inv))
-    return 0
+    return inv.as_json(ws), lambda: print(_describe_link(ws, inv))
 
 
-def _cmd_cover(args) -> int:
+def _cmd_cover(args) -> tuple:
     base = _system_from_args(args)
     cover = build_cover(base, args.k, skip_direct_path=args.skip_direct_path)
-    if args.format == "json":
-        _emit_json(cover.as_json())
-    else:
+
+    def write_text():
         print(_describe_link(base, cover.base_invariants))
         print(_describe_link(cover.cover_system, cover.invariants))
-        agree = "skipped" if cover.paths_agree is None else "agree"
-        print(f"  divisor paths: {agree}")
-    return 0
+        print(f"  divisor paths: {'skipped' if cover.paths_agree is None else 'agree'}")
+
+    return cover.as_json(), write_text
 
 
-def _cmd_realize(args) -> int:
+def _cmd_realize(args) -> tuple:
     cert = realize(args.k, prime=args.prime)
-    if args.format == "json":
-        _emit_json(cert.as_json())
-        return 0
-    print(
-        f"k = {cert.k}: degree p = {cert.chosen_p}, family weights "
-        f"{cert.family.system}, |H_2| = {cert.h2_order}"
-    )
-    if cert.group_undetermined:
-        print(f"  order {cert.h2_order} admits {len(cert.candidates)} manifolds:")
-    else:
-        print("  manifold determined:")
-    for m in cert.candidates:
-        print(f"    {m.label()}")
-    return 0
 
-
-def _cmd_smale_enum(args) -> int:
-    candidates = smale_decompositions(args.k)
-    if args.format == "json":
-        _emit_json(
-            {
-                "k": args.k,
-                "count": len(candidates),
-                "unique": len(candidates) == 1,
-                "candidates": [m.as_json() for m in candidates],
-            }
+    def write_text():
+        print(
+            f"k = {cert.k}: degree p = {cert.chosen_p}, family weights "
+            f"{cert.family.system}, |H_2| = {cert.h2_order}"
         )
-    else:
+        if cert.group_undetermined:
+            print(f"  order {cert.h2_order} admits {len(cert.candidates)} manifolds:")
+        else:
+            print("  manifold determined:")
+        for m in cert.candidates:
+            print(f"    {m.label()}")
+
+    return cert.as_json(), write_text
+
+
+def _cmd_smale_enum(args) -> tuple:
+    candidates = smale_decompositions(args.k)
+    payload = {
+        "k": args.k,
+        "count": len(candidates),
+        "unique": len(candidates) == 1,
+        "candidates": [m.as_json() for m in candidates],
+    }
+
+    def write_text():
         print(f"|H_2| = {args.k}^2: {len(candidates)} candidate manifold(s)")
         for m in candidates:
             divisors = ", ".join(str(q) for q in m.elementary_divisors())
             print(f"  {m.label()}  (elementary divisors {{{divisors}}})")
-    return 0
+
+    return payload, write_text
 
 
-def _cmd_primes(args) -> int:
+def _cmd_primes(args) -> tuple:
     primes = primes_4l_minus_1(args.limit)
-    if args.format == "json":
-        _emit_json({"limit": args.limit, "primes": primes})
-    else:
-        print(" ".join(map(str, primes)) if primes else "(none)")
-    return 0
+    payload = {"limit": args.limit, "primes": primes}
+    return payload, lambda: print(" ".join(map(str, primes)) if primes else "(none)")
 
 
-def _cmd_search(args) -> int:
+def _cmd_search(args) -> tuple:
     systems = search_weight_systems(args.genus, args.max_degree)
-    if args.format == "json":
-        _emit_json(
-            {
-                "target_genus": args.genus,
-                "max_degree": args.max_degree,
-                "count": len(systems),
-                "systems": [ws.as_json() for ws in systems],
-            }
-        )
-    else:
+    payload = {
+        "target_genus": args.genus,
+        "max_degree": args.max_degree,
+        "count": len(systems),
+        "systems": [ws.as_json() for ws in systems],
+    }
+
+    def write_text():
         print(f"{len(systems)} system(s) of genus {args.genus} with d <= {args.max_degree}")
         for ws in systems:
             print(f"  {ws}")
-    return 0
+
+    return payload, write_text
 
 
-def _cmd_verify(args) -> int:
+def _cmd_verify(args) -> tuple:
     report = run_verification(max_degree=args.max_degree, max_k=args.max_k)
-    if args.format == "json":
-        _emit_json(report.as_json())
-    else:
+
+    def write_text():
         for check in report.checks:
             status = "ok" if check.ok else "FAILED"
             print(f"{check.name}: {check.checked} checks, {check.failed} failures [{status}]")
             for failure in check.failures:
                 print(f"    {failure}")
-    if not report.ok:
-        raise CrossCheckError("verification failed")
-    return 0
+
+    return report.as_json(), write_text
 
 
 def build_parser() -> _Parser:
@@ -205,55 +170,51 @@ def build_parser() -> _Parser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("genus", help="genus and Fano index of a 3-variable system")
-    _add_system_flags(p)
-    _add_format_flag(p)
-    p.set_defaults(func=_cmd_genus)
+    def command(name, func, help, system=False):
+        p = sub.add_parser(name, help=help)
+        if system:
+            p.add_argument("--weights", required=True, help="comma-separated weights, e.g. 1,2,3")
+            p.add_argument("--degree", required=True, type=int, help="weighted degree d")
+        p.set_defaults(func=func)
+        return p
 
-    p = sub.add_parser("link", help="full invariant record of a link")
-    _add_system_flags(p)
-    _add_format_flag(p)
-    p.set_defaults(func=_cmd_link)
+    command("genus", _cmd_genus, "genus and Fano index of a 3-variable system", system=True)
+    command("link", _cmd_link, "full invariant record of a link", system=True)
 
-    p = sub.add_parser("cover", help="build and verify a k-fold branched cover")
-    _add_system_flags(p)
+    p = command("cover", _cmd_cover, "build and verify a k-fold branched cover", system=True)
     p.add_argument("-k", type=int, required=True, help="cover exponent, coprime to the degree")
     p.add_argument(
         "--skip-direct-path",
         action="store_true",
         help="skip the direct 4-variable divisor computation",
     )
-    _add_format_flag(p)
-    p.set_defaults(func=_cmd_cover)
 
-    p = sub.add_parser("realize", help="realize |H_2| = k^2 by a genus-one cover")
+    p = command("realize", _cmd_realize, "realize |H_2| = k^2 by a genus-one cover")
     p.add_argument("k", type=int, help="square root of the target H_2 order")
     p.add_argument("--prime", type=int, default=None, help="family prime to use instead of the smallest")
-    _add_format_flag(p)
-    p.set_defaults(func=_cmd_realize)
 
-    p = sub.add_parser("smale-enum", help="all spin 5-manifolds with |H_2| = k^2")
+    p = command("smale-enum", _cmd_smale_enum, "all spin 5-manifolds with |H_2| = k^2")
     p.add_argument("k", type=int, help="square root of the H_2 order")
-    _add_format_flag(p)
-    p.set_defaults(func=_cmd_smale_enum)
 
-    p = sub.add_parser("primes", help="family primes congruent to 3 mod 4")
+    p = command("primes", _cmd_primes, "family primes congruent to 3 mod 4")
     p.add_argument("--limit", type=int, required=True, help="upper bound, inclusive")
-    _add_format_flag(p)
-    p.set_defaults(func=_cmd_primes)
 
-    p = sub.add_parser("search", help="enumerate weight systems of a given genus")
+    p = command("search", _cmd_search, "enumerate weight systems of a given genus")
     p.add_argument("--genus", type=int, required=True, help="target genus")
     p.add_argument("--max-degree", type=int, required=True, help="largest degree to scan")
-    _add_format_flag(p)
-    p.set_defaults(func=_cmd_search)
 
-    p = sub.add_parser("verify", help="run the cross-validation sweeps")
+    p = command("verify", _cmd_verify, "run the cross-validation sweeps")
     p.add_argument("--max-degree", type=int, default=40, help="grid degree bound (default 40)")
     p.add_argument("--max-k", type=int, default=12, help="largest cover exponent (default 12)")
-    _add_format_flag(p)
-    p.set_defaults(func=_cmd_verify)
 
+    # added last, so --format stays the last option in every usage line
+    for p in sub.choices.values():
+        p.add_argument(
+            "--format",
+            choices=("json", "text"),
+            default="text",
+            help="output format (default: text)",
+        )
     return parser
 
 
@@ -264,17 +225,19 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        return args.func(args)
+        payload, write_text = args.func(args)
+        if args.format == "json":
+            _emit_json(payload)
+        else:
+            write_text()
+        if payload.get("ok") is False:
+            raise CrossCheckError("verification failed")
+        return 0
     except WhlinkError as exc:
         code = 1 if isinstance(exc, InputError) else 2
         reason = str(exc) if code == 1 else f"internal consistency failure: {exc}"
-        if args.format == "json":
-            line = json.dumps(
-                {"class": type(exc).__name__, "error": reason, "exit_code": code},
-                sort_keys=True,
-            )
-        else:
-            line = f"whlink: {reason}"
+        fields = {"class": type(exc).__name__, "error": reason, "exit_code": code}
+        line = json.dumps(fields, sort_keys=True) if args.format == "json" else f"whlink: {reason}"
         print(line, file=sys.stderr)
         return code
 

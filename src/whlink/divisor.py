@@ -82,10 +82,6 @@ class OrlikDivisor:
         """Term pairs (j, coefficient), sorted by descending index."""
         return sorted(self._terms.items(), key=lambda t: -t[0])
 
-    def coefficient(self, j: int):
-        """Coefficient of lam(j), an int."""
-        return self._terms.get(j, 0)
-
     def __repr__(self):
         body = ", ".join(f"{j}: {c}" for j, c in self.items())
         return f"OrlikDivisor({{{body}}})"

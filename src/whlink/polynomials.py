@@ -27,11 +27,6 @@ def trim(p: list) -> list:
     return p
 
 
-def degree(p: list) -> int:
-    """Degree of p, with the zero polynomial at -1."""
-    return len(p) - 1
-
-
 def mul(a: list, b: list) -> list:
     """Schoolbook product, skipping zero coefficients."""
     if not a or not b:
@@ -104,10 +99,6 @@ def long_divmod(num: list, den: list) -> tuple:
                 rem[k + i] -= coef * c
     del rem[dn:]
     return trim(quot), trim(rem)
-
-
-def eval_at_one(p: list):
-    return sum(p)
 
 
 def shifted_coefficient(p: list, m: int):

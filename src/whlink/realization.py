@@ -112,9 +112,6 @@ def realize(k: int, *, prime: int | None = None) -> RealizationCertificate:
     if gcd(k, chosen) != 1:
         raise CoprimalityError(f"requested prime {chosen} divides k = {k}")
     cover = build_cover(family.system, k)
-    h2 = cover.h2_order
-    if h2 != k * k:
-        raise ConsistencyError(f"cover order {h2} is not {k}^2")
     candidates = tuple(smale_decompositions(k))
     undetermined = len(candidates) > 1
     return RealizationCertificate(
@@ -122,7 +119,7 @@ def realize(k: int, *, prime: int | None = None) -> RealizationCertificate:
         chosen_p=chosen,
         family=family,
         cover=cover,
-        h2_order=h2,
+        h2_order=cover.h2_order,
         candidates=candidates,
         manifold=None if undetermined else candidates[0],
         group_undetermined=undetermined,

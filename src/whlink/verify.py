@@ -134,7 +134,7 @@ def check_oracle_agreement(grid) -> PropertyCheck:
             lambda ws=ws: f"{ws}: polynomial expansions disagree",
         )
         mult = div.coefficient_sum()
-        vanishes = poly.eval_at_one(oracle) == 0
+        vanishes = sum(oracle) == 0
         check.record(
             vanishes == (mult > 0),
             lambda ws=ws, mult=mult: (

@@ -250,6 +250,32 @@ def test_verify_failure_is_an_error_line(capsys, monkeypatch):
         assert_error_line(fmt, err, 2, "verification failed", errors.CrossCheckError)
 
 
+def test_cover_with_a_wrong_relation_path_exits_2(capsys, plant_cover_fault):
+    plant_cover_fault("whlink.cover")
+    code, out, err = run(
+        capsys, "cover", "--weights", "1,1,1", "--degree", "3", "-k", "2", "--format", "json"
+    )
+    assert code == 2
+    assert out == ""
+    assert_error_line("json", err, 2, "disagrees", errors.TwoPathMismatchError)
+    assert json.loads(err)["class"] == "TwoPathMismatchError"
+
+
+def test_verify_with_a_wrong_relation_path_prints_then_exits_2(capsys, plant_cover_fault):
+    plant_cover_fault("whlink.verify")
+    argv = ["verify", "--max-degree", "6", "--max-k", "3"]
+    code, data, err = run_json(capsys, *argv)
+    assert code == 2
+    assert data["ok"] is False
+    cover = next(p for p in data["properties"] if p["name"] == "cover_two_path")
+    assert cover["failed"] > 0
+    assert_error_line("json", err, 2, "verification failed", errors.CrossCheckError)
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert "cover_two_path: " in out and "failures [FAILED]" in out
+    assert_error_line("text", err, 2, "verification failed")
+
+
 def test_fractional_divisor_systems_are_input_errors(capsys):
     # the genus formula is integral but the divisor has fractional
     # coefficients: no quasi-smooth polynomial has these weights

@@ -4,8 +4,10 @@ import pytest
 
 from whlink import (
     CoprimalityError,
+    CrossCheckError,
     InputError,
     NotASmoothCurveError,
+    TwoPathMismatchError,
     WeightSystem,
     build_cover,
     cover_divisor,
@@ -161,3 +163,14 @@ def test_direct_cover_path_does_not_use_ring_product(monkeypatch):
         lam(2) * lam(3)
     for (ws, k), via_relation in zip(cases, expected):
         assert milnor_orlik_divisor(cover_weights(ws, k)) == via_relation
+
+
+def test_build_cover_catches_a_wrong_relation_path(plant_cover_fault):
+    plant_cover_fault("whlink.cover")
+    with pytest.raises(TwoPathMismatchError):
+        build_cover(CUBIC, 2)
+    # without the direct route, b_2 = 1 of the wrong divisor gives it away
+    with pytest.raises(CrossCheckError) as excinfo:
+        build_cover(CUBIC, 2, skip_direct_path=True)
+    assert excinfo.type is CrossCheckError
+    assert "b_2 = 1" in str(excinfo.value)

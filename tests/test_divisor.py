@@ -40,8 +40,7 @@ def pairwise_angle_sums(a: Counter, b: Counter) -> Counter:
 def test_lam_basics():
     assert lam(1) == OrlikDivisor({1: 1})
     assert lam(5) == OrlikDivisor({5: 1})
-    assert lam(5).coefficient(5) == 1
-    assert lam(5).coefficient(3) == 0
+    assert dict(lam(5).items()) == {5: 1}
 
 
 @pytest.mark.parametrize("j", [0, -1, -17])
