@@ -70,12 +70,8 @@ def require_int(value, minimum, message, error=InputError):
     The message names the offending value; a ``minimum`` of None accepts
     every int.
     """
-    if type(value) is int and (minimum is None or value >= minimum):
-        return  # the common case, without the isinstance tests below
-    if (
-        not isinstance(value, int)
-        or isinstance(value, bool)
-        or (minimum is not None and value < minimum)
+    if (type(value) is not int and (not isinstance(value, int) or isinstance(value, bool))) or (
+        minimum is not None and value < minimum
     ):
         raise error(f"{message}, got {value!r}")
 

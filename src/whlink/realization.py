@@ -127,7 +127,7 @@ def realize(k: int, *, prime: int | None = None) -> RealizationCertificate:
 
 
 def iter_integral_genus_systems(max_degree: int, target_genus: int | None = None):
-    """Yield (system, genus) over all sorted 3-variable systems with d <= max_degree.
+    """Yield (system, genus, divisor) over sorted 3-variable systems with d <= max_degree.
 
     Weights run over 1 <= w_1 <= w_2 <= w_3 <= d, restricted to primitive
     triples (non-primitive ones present the same links with the genus
@@ -135,6 +135,9 @@ def iter_integral_genus_systems(max_degree: int, target_genus: int | None = None
     rejects are skipped.  With ``target_genus`` given only systems of that
     genus are yielded, and for a positive target the scan stops w_3 where
     the weights sum past the degree, since those systems have genus zero.
+    The divisor is the system's ``link_divisor``, or None when that
+    rejects the system: test it with ``is not None``, since a linear
+    cone's zero divisor is falsy.
     """
     for d in range(1, max_degree + 1):
         for w1 in range(1, d + 1):
@@ -149,8 +152,13 @@ def iter_integral_genus_systems(max_degree: int, target_genus: int | None = None
                         g = ws.genus()
                     except NotASmoothCurveError:
                         continue
-                    if target_genus is None or g == target_genus:
-                        yield ws, g
+                    if target_genus is not None and g != target_genus:
+                        continue
+                    try:
+                        div = link_divisor(ws)
+                    except NotASmoothCurveError:
+                        div = None
+                    yield ws, g, div
 
 
 # the scan is O(d^4): genus 0 takes 2.5 s at d = 60, 3.7 s at d = 64 and
@@ -169,11 +177,5 @@ def search_weight_systems(target_genus: int, max_degree: int) -> list:
     require_int(max_degree, 3, "max degree must be an integer >= 3")
     if max_degree > MAX_SEARCH_DEGREE:
         raise InputError(f"max degree must be at most {MAX_SEARCH_DEGREE}, got {max_degree}")
-    hits = []
-    for ws, _g in iter_integral_genus_systems(max_degree, target_genus):
-        try:
-            link_divisor(ws)
-        except NotASmoothCurveError:
-            continue
-        hits.append(ws)
-    return hits
+    systems = iter_integral_genus_systems(max_degree, target_genus)
+    return [ws for ws, _g, div in systems if div is not None]

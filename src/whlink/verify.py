@@ -11,19 +11,20 @@ Four properties, each checkable by exhaustion over a bounded grid:
 
 Every check that can fail is counted rather than raised, so one bad cell
 does not hide the rest; the report carries a capped list of failure
-descriptions for diagnosis.
+descriptions for diagnosis.  Each check is one ``record(ok, template,
+*args)`` call, and a description is formatted only when it is kept.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from math import gcd
 
 from . import polynomials as poly
 from .cover import cover_divisor, cover_weights
 from .divisor import relation_holds
-from .errors import InputError, NotAPolynomialError, NotASmoothCurveError, require_int
-from .invariants import char_poly_from_divisor, link_divisor, milnor_orlik_divisor, oracle_expand
+from .errors import InputError, NotAPolynomialError, require_int
+from .invariants import char_poly_from_divisor, milnor_orlik_divisor, oracle_expand
 from .realization import iter_integral_genus_systems
 
 _FAILURE_CAP = 10
@@ -41,29 +42,27 @@ MAX_VERIFY_K = 200
 
 @dataclass
 class PropertyCheck:
+    """Counts of one property's checks, and the first failures' descriptions.
+
+    ``record(ok, template, *args)`` counts one check; a failure within the
+    cap is kept as ``template.format(*args)``.
+    """
+
     name: str
     checked: int = 0
     failed: int = 0
     failures: list = field(default_factory=list)
 
-    def record(self, ok: bool, describe):
+    def record(self, ok: bool, template: str, *args):
         self.checked += 1
         if not ok:
             self.failed += 1
             if len(self.failures) < _FAILURE_CAP:
-                self.failures.append(describe())
+                self.failures.append(template.format(*args))
 
     @property
     def ok(self) -> bool:
         return self.failed == 0
-
-    def as_json(self) -> dict:
-        return {
-            "name": self.name,
-            "checked": self.checked,
-            "failed": self.failed,
-            "failures": list(self.failures),
-        }
 
 
 @dataclass
@@ -79,25 +78,18 @@ class VerificationReport:
         return all(c.ok for c in self.checks)
 
     def as_json(self) -> dict:
-        return {
-            "max_degree": self.max_degree,
-            "max_k": self.max_k,
-            "systems": self.systems,
-            "skipped_nonintegral": self.skipped_nonintegral,
-            "properties": [c.as_json() for c in self.checks],
-            "ok": self.ok,
-        }
+        report = asdict(self)
+        report["properties"] = report.pop("checks")
+        report["ok"] = self.ok
+        return report
 
 
-def check_group_ring_relation(max_index: int = 40) -> PropertyCheck:
+def check_group_ring_relation(max_index: int) -> PropertyCheck:
     """lam(a) lam(b) = gcd(a,b) lam(lcm(a,b)) against root multisets."""
     check = PropertyCheck("group_ring_relation")
     for a in range(1, max_index + 1):
         for b in range(1, max_index + 1):
-            check.record(
-                relation_holds(a, b),
-                lambda a=a, b=b: f"relation fails for lam({a}) * lam({b})",
-            )
+            check.record(relation_holds(a, b), "relation fails for lam({}) * lam({})", a, b)
     return check
 
 
@@ -106,10 +98,7 @@ def check_genus_betti_duality(grid) -> PropertyCheck:
     check = PropertyCheck("genus_betti_duality")
     for ws, g, div in grid:
         mult = div.coefficient_sum()
-        check.record(
-            mult == 2 * g,
-            lambda ws=ws, g=g, mult=mult: f"{ws}: multiplicity {mult} != 2 * genus {g}",
-        )
+        check.record(mult == 2 * g, "{}: multiplicity {} != 2 * genus {}", ws, mult, g)
     return check
 
 
@@ -127,29 +116,20 @@ def check_oracle_agreement(grid) -> PropertyCheck:
             pipeline = char_poly_from_divisor(div)
             oracle = oracle_expand(div)
         except NotAPolynomialError as exc:
-            check.record(False, lambda ws=ws, exc=exc: f"{ws}: {exc}")
+            check.record(False, "{}: {}", ws, exc)
             continue
-        check.record(
-            pipeline == oracle,
-            lambda ws=ws: f"{ws}: polynomial expansions disagree",
-        )
+        check.record(pipeline == oracle, "{}: polynomial expansions disagree", ws)
         mult = div.coefficient_sum()
-        vanishes = sum(oracle) == 0
-        check.record(
-            vanishes == (mult > 0),
-            lambda ws=ws, mult=mult: (
-                f"{ws}: t = 1 root presence disagrees with multiplicity {mult}"
-            ),
-        )
+        root_ok = (sum(oracle) == 0) == (mult > 0)
+        check.record(root_ok, "{}: t = 1 root presence disagrees with multiplicity {}", ws, mult)
         value = poly.shifted_coefficient(oracle, mult)
         check.record(
-            value == div.reduced_value_at_one(),
-            lambda ws=ws, value=value: f"{ws}: value at t = 1 came out {value}",
+            value == div.reduced_value_at_one(), "{}: value at t = 1 came out {}", ws, value
         )
     return check
 
 
-def check_cover_two_path(grid, max_k: int = 12) -> PropertyCheck:
+def check_cover_two_path(grid, max_k: int) -> PropertyCheck:
     """Direct cover divisors match the lam(k) - 1 product; b_2 and order laws."""
     check = PropertyCheck("cover_two_path")
     for ws, g, div in grid:
@@ -158,21 +138,12 @@ def check_cover_two_path(grid, max_k: int = 12) -> PropertyCheck:
                 continue
             direct = milnor_orlik_divisor(cover_weights(ws, k))
             via_relation = cover_divisor(div, k)
-            check.record(
-                direct == via_relation,
-                lambda ws=ws, k=k: f"{ws}, k={k}: cover divisor paths disagree",
-            )
+            check.record(direct == via_relation, "{}, k={}: cover divisor paths disagree", ws, k)
             mult = via_relation.coefficient_sum()
-            check.record(
-                mult == 0,
-                lambda ws=ws, k=k, mult=mult: f"{ws}, k={k}: b_2 = {mult}, expected 0",
-            )
+            check.record(mult == 0, "{}, k={}: b_2 = {}, expected 0", ws, k, mult)
             order = via_relation.reduced_value_at_one()
             check.record(
-                order == k ** (2 * g),
-                lambda ws=ws, k=k, order=order: (
-                    f"{ws}, k={k}: torsion order {order} != {k}^(2*{g})"
-                ),
+                order == k ** (2 * g), "{}, k={}: torsion order {} != {}^(2*{})", ws, k, order, k, g
             )
     return check
 
@@ -180,20 +151,16 @@ def check_cover_two_path(grid, max_k: int = 12) -> PropertyCheck:
 def build_grid(max_degree: int) -> tuple:
     """The regression grid: (system, genus, divisor) triples, plus a skip count.
 
-    Systems of integral genus that ``link_divisor`` rejects have no link
-    for the theorems to talk about, so they are counted, not swept.
+    Systems of integral genus that the link gate rejects (divisor None)
+    have no link for the theorems to talk about, so they are counted, not
+    swept.
     """
-    grid = []
-    skipped = 0
-    for ws, g in iter_integral_genus_systems(max_degree):
-        try:
-            grid.append((ws, g, link_divisor(ws)))
-        except NotASmoothCurveError:
-            skipped += 1
-    return grid, skipped
+    rows = list(iter_integral_genus_systems(max_degree))
+    grid = [row for row in rows if row[2] is not None]  # a linear cone's divisor is falsy
+    return grid, len(rows) - len(grid)
 
 
-def run_verification(max_degree: int = 40, max_k: int = 12) -> VerificationReport:
+def run_verification(max_degree: int, max_k: int) -> VerificationReport:
     """Run every sweep at the given bounds and collect one report.
 
     Bounds that leave a sweep empty, or that pass ``MAX_VERIFY_DEGREE`` or

@@ -239,7 +239,7 @@ def test_verify_failure_is_an_error_line(capsys, monkeypatch):
 
     def failing(max_degree, max_k):
         check = PropertyCheck("oracle_agreement")
-        check.record(False, lambda: "synthetic mismatch")
+        check.record(False, "synthetic mismatch")
         return VerificationReport(max_degree, max_k, 1, 0, [check])
 
     monkeypatch.setattr("whlink.cli.run_verification", failing)

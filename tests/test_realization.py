@@ -267,7 +267,7 @@ def test_search_matches_filtered_grid():
     for target in range(4):
         expected = [ws for ws, g, _div in grid if g == target]
         assert search_weight_systems(target, 14) == expected
-        assert all(g == target for _ws, g in iter_integral_genus_systems(14, target))
+        assert all(g == target for _ws, g, _div in iter_integral_genus_systems(14, target))
 
 
 def test_every_search_hit_has_a_link():

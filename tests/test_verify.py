@@ -2,10 +2,20 @@
 
 A check counts as evidence only if it could have failed, so each test
 here plants a fault in one route and asserts that the sweep records it.
+The failure-text tests pin each of the nine checks' description exactly.
 """
 
-from whlink.invariants import oracle_expand
-from whlink.verify import _FAILURE_CAP, build_grid, check_cover_two_path, check_oracle_agreement
+from whlink.divisor import OrlikDivisor
+from whlink.invariants import link_divisor, oracle_expand
+from whlink.verify import (
+    _FAILURE_CAP,
+    build_grid,
+    check_cover_two_path,
+    check_genus_betti_duality,
+    check_group_ring_relation,
+    check_oracle_agreement,
+)
+from whlink.weights import WeightSystem
 
 
 def test_cover_two_path_counts_a_wrong_relation_path(plant_cover_fault):
@@ -26,3 +36,45 @@ def test_oracle_agreement_counts_a_wrong_oracle(monkeypatch):
     check = check_oracle_agreement(build_grid(6)[0])
     assert 0 < check.failed < check.checked
     assert any("polynomial expansions disagree" in f for f in check.failures)
+
+
+CUBIC = WeightSystem((1, 1, 1), 3)
+CUBIC_ROW = (CUBIC, 1, link_divisor(CUBIC))
+
+
+def test_group_ring_relation_failure_text(monkeypatch):
+    monkeypatch.setattr("whlink.verify.relation_holds", lambda a, b: False)
+    assert check_group_ring_relation(1).failures == ["relation fails for lam(1) * lam(1)"]
+
+
+def test_genus_betti_duality_failure_text():
+    ws, g, div = CUBIC_ROW
+    assert check_genus_betti_duality([(ws, g + 1, div)]).failures == [
+        "w=(1,1,1; d=3): multiplicity 2 != 2 * genus 2"
+    ]
+
+
+def test_oracle_agreement_failure_text_for_a_refused_divisor():
+    check = check_oracle_agreement([(CUBIC, 1, OrlikDivisor({1: -1}))])
+    assert (check.checked, check.failed) == (1, 1)
+    assert check.failures == ["w=(1,1,1; d=3): degree 0 polynomial is not divisible by t^1 - 1"]
+
+
+def test_oracle_agreement_failure_texts(monkeypatch):
+    # the constant 1: another polynomial, no root at t = 1, and value 0 read
+    # as the coefficient of s^2 in p(1 + s)
+    monkeypatch.setattr("whlink.verify.oracle_expand", lambda div: [1])
+    assert check_oracle_agreement([CUBIC_ROW]).failures == [
+        "w=(1,1,1; d=3): polynomial expansions disagree",
+        "w=(1,1,1; d=3): t = 1 root presence disagrees with multiplicity 2",
+        "w=(1,1,1; d=3): value at t = 1 came out 0",
+    ]
+
+
+def test_cover_two_path_failure_texts(plant_cover_fault):
+    plant_cover_fault("whlink.verify")
+    assert check_cover_two_path([CUBIC_ROW], 2).failures == [
+        "w=(1,1,1; d=3), k=2: cover divisor paths disagree",
+        "w=(1,1,1; d=3), k=2: b_2 = 1, expected 0",
+        "w=(1,1,1; d=3), k=2: torsion order 8 != 2^(2*1)",
+    ]
