@@ -191,7 +191,9 @@ def build_parser() -> _Parser:
 
     p = command("realize", _cmd_realize, "realize |H_2| = k^2 by a genus-one cover")
     p.add_argument("k", type=int, help="square root of the target H_2 order")
-    p.add_argument("--prime", type=int, default=None, help="family prime to use instead of the smallest")
+    p.add_argument(
+        "--prime", type=int, default=None, help="family prime to use instead of the smallest"
+    )
 
     p = command("smale-enum", _cmd_smale_enum, "all spin 5-manifolds with |H_2| = k^2")
     p.add_argument("k", type=int, help="square root of the H_2 order")

@@ -9,8 +9,9 @@ k^(2g), g the genus of the base curve.
 
 ``build_cover`` computes the cover divisor both ways, from the 4-variable
 weight system directly and through the lam(k) - 1 product, and refuses to
-return unless the two agree and the order law holds.  The redundancy is the
-point: every cover built is a self-test of the whole pipeline.
+return unless ``cover_checks`` passes: the two agree, b_2 = 0, and the
+order law holds.  The redundancy is the point: every cover built is a
+self-test of the whole pipeline, and ``verify`` sweeps the same checks.
 """
 
 from __future__ import annotations
@@ -24,6 +25,7 @@ from .errors import (
     CrossCheckError,
     InputError,
     TwoPathMismatchError,
+    raise_if_failed,
     require_digits,
     require_int,
 )
@@ -96,15 +98,36 @@ def cover_divisor(base_div: OrlikDivisor, k: int) -> OrlikDivisor:
     return OrlikDivisor._raw({k: 1, 1: -1}) * base_div
 
 
-def build_cover(
-    base: WeightSystem, k: int, *, skip_direct_path: bool = False
-) -> CoverLink:
+def cover_torsion_order(k: int, genus: int) -> int:
+    """|H_2| of the k-fold cover of a genus-g base, k coprime to the degree: k^(2g)."""
+    return k ** (2 * genus)
+
+
+def cover_checks(base, genus, k, via_relation, system):
+    """The cover's cross-checks as (ok, error class, template, args) tuples.
+
+    The direct divisor of ``system`` against ``via_relation`` (left out when
+    ``system`` is None), b_2 = 0, and the order law: ``build_cover`` raises
+    the first failure, ``verify`` counts them all.
+    """
+    if system is not None:
+        ok = milnor_orlik_divisor(system) == via_relation
+        yield ok, TwoPathMismatchError, "{}, k={}: cover divisor paths disagree", (base, k)
+    b_2 = via_relation.coefficient_sum()
+    yield b_2 == 0, CrossCheckError, "{}, k={}: b_2 = {}, expected 0", (base, k, b_2)
+    order = via_relation.reduced_value_at_one()
+    ok = order == cover_torsion_order(k, genus)
+    args = (base, k, order, k, genus)
+    yield ok, CrossCheckError, "{}, k={}: torsion order {} != {}^(2*{})", args
+
+
+def build_cover(base: WeightSystem, k: int, *, skip_direct_path: bool = False) -> CoverLink:
     """Construct the k-fold branched cover and verify it two ways.
 
     The cover divisor is computed from the 4-variable weight system and as
-    (lam(k) - 1) times the base divisor; a mismatch, a nonzero second Betti
-    number, or a torsion order different from k^(2g) raises one of the
-    consistency errors, since each would contradict what the construction
+    (lam(k) - 1) times the base divisor; ``cover_checks`` then compares the
+    two, and tests b_2 = 0 and the order k^(2g).  A failure raises its
+    consistency error, since each would contradict what the construction
     guarantees for gcd(d, k) = 1.
 
     ``skip_direct_path`` drops the first computation, leaving ``paths_agree``
@@ -115,45 +138,30 @@ def build_cover(
     system = cover_weights(base, k)
     base_inv = link_invariants(base)
     via_relation = cover_divisor(base_inv.divisor, k)
-    paths_agree = None
-    if not skip_direct_path:
-        direct = milnor_orlik_divisor(system)
-        if direct != via_relation:
-            raise TwoPathMismatchError(
-                f"cover divisor of {system} disagrees with (lam({k}) - 1) "
-                f"times the base divisor: {direct!r} vs {via_relation!r}"
-            )
-        paths_agree = True
-    inv = invariants_from_divisor(via_relation)
-    if inv.multiplicity_of_unity != 0:
-        raise CrossCheckError(
-            f"cover of {base} by k={k} has b_2 = {inv.multiplicity_of_unity}, "
-            "expected 0 for a coprime cover"
-        )
-    expected = k ** (2 * base_inv.genus)
-    if inv.delta_at_one != expected:
-        raise CrossCheckError(
-            f"cover torsion order {inv.delta_at_one} differs from "
-            f"{k}^(2*{base_inv.genus}) = {expected}"
-        )
+    direct_system = None if skip_direct_path else system
+    inv = None
+    for check in cover_checks(base, base_inv.genus, k, via_relation, direct_system):
+        raise_if_failed(*check)
+        if inv is None:  # the torsion-digit bound, before the order law forms k^(2g)
+            inv = invariants_from_divisor(via_relation)
     return CoverLink(
         base=base,
         k=k,
         cover_system=system,
         base_invariants=base_inv,
         invariants=inv,
-        paths_agree=paths_agree,
+        paths_agree=None if skip_direct_path else True,
     )
 
 
 def diagnose_cover(base: WeightSystem, k: int) -> tuple[WeightSystem, LinkInvariants]:
     """Invariants of z_0^k over a base without the coprimality hypothesis.
 
-    Base and cover system both pass ``link_divisor``.  Beyond that nothing
-    is asserted: with gcd(d, k) > 1 the cover need not be a rational
-    homology sphere, so the returned record may carry a positive
-    multiplicity and no torsion order.
+    The base passes ``link_invariants``, the gate ``build_cover`` asks of it,
+    and the cover system passes ``link_divisor``.  Nothing more is asserted:
+    with gcd(d, k) > 1 the cover need not be a rational homology sphere, so
+    the record may carry a positive multiplicity and no torsion order.
     """
     system = _adjoin_power(base, k)
-    link_divisor(base)
+    link_invariants(base)
     return system, invariants_from_divisor(link_divisor(system))

@@ -12,20 +12,17 @@ prod_j (t^j - 1)^{c_j}; link invariants downstream are read off that
 encoding without ever expanding the polynomial unless asked to.
 
 Coefficients are ints and nothing else, so a fractional divisor cannot be
-represented.  The Milnor-Orlik product of the lam(u)/v - 1, whose factors
-carry denominators, is built outside the ring: the product of the integer
-factors lam(u) - v is expanded over the subsets of the factors as plain
-int coefficients keyed by index, merged as they are formed, over one
-common denominator and divided exactly at the end (see
-``invariants.milnor_orlik_divisor``).  Canonical
-form prunes zero coefficients immediately after every operation; two
-divisors are equal exactly when their canonical term maps are equal.
+represented: the Milnor-Orlik product of the lam(u)/v - 1, whose factors
+carry denominators, is built outside the ring, see
+``invariants.milnor_orlik_divisor``.  Canonical form prunes zero
+coefficients immediately after every operation; two divisors are equal
+exactly when their canonical term maps are equal.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 from .errors import InvalidIndexError, require_int
 
@@ -91,15 +88,9 @@ class OrlikDivisor:
             return "0"
         parts = []
         for j, c in self.items():
+            mag = abs(c)
+            body = str(mag) if j == 1 else f"L({j})" if mag == 1 else f"{mag}*L({j})"
             sign = "-" if c < 0 else "+"
-            mag = -c if c < 0 else c
-            gen = "1" if j == 1 else f"L({j})"
-            if j == 1:
-                body = str(mag)
-            elif mag == 1:
-                body = gen
-            else:
-                body = f"{mag}*{gen}"
             parts.append(f"{sign} {body}" if parts else (f"-{body}" if c < 0 else body))
         return " ".join(parts)
 
@@ -222,23 +213,25 @@ def lam(j: int) -> OrlikDivisor:
 #
 # The root multiset of t^j - 1 is {m/j : 0 <= m < j}, written as reduced
 # fractions in [0, 1) standing for angles.  Multiplying two polynomial
-# divisors adds the root multisets pairwise mod 1, so the product rule for
+# divisors adds the root multisets pairwise mod 1, so the ring's product
 # lam(a) * lam(b) can be checked against nothing but modular arithmetic.
 
 
 def relation_holds(a: int, b: int) -> bool:
-    """Does lam(a) * lam(b) = gcd(a, b) * lam(lcm(a, b)) hold on root multisets?
+    """Does the ring's lam(a) * lam(b) have the pairwise sums of the roots as roots?
 
-    Works over the common denominator L = lcm(a, b): the root m/a becomes
-    the integer m * L/a mod L, pairwise sums are integer sums mod L, and
-    the expected multiset is every residue with multiplicity gcd(a, b).
+    Works over a common denominator n of a, b and the product's indices:
+    the root m/a becomes the integer m * n/a mod n.  Each pairwise sum is
+    counted up, each root of a term c lam(j) of the product counted down c
+    times, and the product is right when nothing is left.
     """
-    g = gcd(a, b)
-    lcm = a * b // g
-    stride_a, stride_b = lcm // a, lcm // b
-    counts = [0] * lcm
-    for m in range(a):
-        x = m * stride_a
-        for n in range(b):
-            counts[(x + n * stride_b) % lcm] += 1
-    return all(c == g for c in counts)
+    product = lam(a) * lam(b)
+    n = lcm(a, b, *(j for j, _c in product.items()))
+    counts = [0] * n
+    for m in range(0, n, n // a):
+        for i in range(0, n, n // b):
+            counts[(m + i) % n] += 1
+    for j, c in product.items():
+        for m in range(0, n, n // j):
+            counts[m] -= c
+    return not any(counts)

@@ -35,6 +35,7 @@ from .errors import (
     MalformedDivisorError,
     NotAPolynomialError,
     NotASmoothCurveError,
+    raise_if_failed,
     require_digits,
 )
 from .weights import WeightSystem
@@ -106,6 +107,13 @@ def betti_from_divisor(div: OrlikDivisor) -> int:
             f"coefficient sum {s} is negative; not the divisor of a link polynomial"
         )
     return s
+
+
+def genus_betti_check(ws: WeightSystem, genus: int, div: OrlikDivisor) -> tuple:
+    """b_1 = 2g, as the (ok, error class, template, args) tuple ``verify`` counts."""
+    b_1 = div.coefficient_sum()
+    args = (ws, b_1, genus)
+    return b_1 == 2 * genus, CrossCheckError, "{}: multiplicity {} != 2 * genus {}", args
 
 
 def char_poly_from_divisor(div: OrlikDivisor) -> list:
@@ -183,14 +191,11 @@ class LinkInvariants:
 def invariants_from_divisor(div: OrlikDivisor, *, genus: int | None = None) -> LinkInvariants:
     """Assemble the invariant record for an already computed divisor.
 
-    The torsion order's digits are estimated as sum_j c_j log10 j and
-    bounded by ``require_digits`` before any power is computed.
+    ``genus`` is stored, not checked; ``link_invariants`` checks it.  The
+    torsion order's digits are estimated as sum_j c_j log10 j and bounded
+    by ``require_digits`` before any power is computed.
     """
     mult = betti_from_divisor(div)
-    if genus is not None and 2 * genus != mult:
-        raise CrossCheckError(
-            f"genus formula gives {genus} but the divisor gives multiplicity {mult}"
-        )
     delta_at_one = None
     if mult == 0:
         try:
@@ -229,10 +234,10 @@ def link_invariants(ws: WeightSystem) -> LinkInvariants:
     """Full invariant record of the link of a weight system.
 
     The divisor comes from ``link_divisor``.  For three variables the
-    genus is computed independently and checked against the divisor's
-    multiplicity (first Betti number = twice the genus); a mismatch raises
-    ``CrossCheckError``.
+    genus is computed independently and ``genus_betti_check`` must pass.
     """
     div = link_divisor(ws)
     genus = ws.genus() if ws.n == 3 else None
+    if genus is not None:
+        raise_if_failed(*genus_betti_check(ws, genus, div))
     return invariants_from_divisor(div, genus=genus)

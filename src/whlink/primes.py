@@ -45,9 +45,7 @@ def is_prime(n: int) -> bool:
     if n < 2:
         return False
     if n >= _MR_PROVEN_BOUND:
-        raise InputError(
-            f"{n} exceeds the deterministically proven primality range"
-        )
+        raise InputError(f"{n} exceeds the deterministically proven primality range")
     for p in _MR_WITNESSES:
         if n % p == 0:
             return n == p

@@ -38,10 +38,7 @@ class SmaleManifold:
         return tuple(p**s for p, s in self.summands)
 
     def h2_order(self) -> int:
-        out = 1
-        for p, s in self.summands:
-            out *= (p**s) ** 2
-        return out
+        return prod(self.orders()) ** 2
 
     def elementary_divisors(self) -> tuple:
         """Each block contributes its order twice; sorted ascending."""
@@ -102,9 +99,8 @@ def smale_decompositions(k: int) -> list:
             f"more than {MAX_CANDIDATES} manifolds have |H_2| = k^2 for k = {k}; "
             "enumeration stops there"
         )
-    out = []
-    for combo in product(*per_prime):
-        summands = tuple((p, s) for p, parts in combo for s in parts)
-        out.append(SmaleManifold(summands))
-    return out
+    return [
+        SmaleManifold(tuple((p, s) for p, parts in combo for s in parts))
+        for combo in product(*per_prime)
+    ]
 

@@ -53,10 +53,7 @@ class WeightSystem:
     def __eq__(self, other):
         if not isinstance(other, WeightSystem):
             return NotImplemented
-        return (
-            sorted(self.weights) == sorted(other.weights)
-            and self.degree == other.degree
-        )
+        return sorted(self.weights) == sorted(other.weights) and self.degree == other.degree
 
     def __hash__(self):
         return hash((tuple(sorted(self.weights)), self.degree))

@@ -1,6 +1,10 @@
 """End-to-end tests of the command-line interface."""
 
 import json
+import os
+import pathlib
+import subprocess
+import sys
 import time
 from math import prod
 
@@ -19,6 +23,25 @@ def run(capsys, *argv):
 def run_json(capsys, *argv):
     code, out, err = run(capsys, *argv, "--format", "json")
     return code, json.loads(out) if out else None, err
+
+
+def test_python_dash_m_runs_the_entry_point():
+    # the process entry points, __main__.py and cli.entry_point, end to
+    # end: stdout and exit code in a separate interpreter
+    root = pathlib.Path(__file__).parent.parent
+    path = os.environ.get("PYTHONPATH")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(root / "src"), path])))
+
+    def whlink(*argv):
+        argv = [sys.executable, "-m", "whlink", *argv, "--format", "json"]
+        return subprocess.run(argv, capture_output=True, env=env, timeout=60)
+
+    done = whlink("link", "--weights", "15,10,6", "--degree", "30")
+    assert (done.returncode, done.stderr) == (0, b"")
+    assert done.stdout == (root / "tests" / "golden" / "link.json").read_bytes()
+    done = whlink("link", "--weights", "1,4,6", "--degree", "8")
+    assert (done.returncode, done.stdout) == (1, b"")
+    assert json.loads(done.stderr)["class"] == "NotASmoothCurveError"
 
 
 def test_genus_text(capsys):
@@ -257,7 +280,7 @@ def test_cover_with_a_wrong_relation_path_exits_2(capsys, plant_cover_fault):
     )
     assert code == 2
     assert out == ""
-    assert_error_line("json", err, 2, "disagrees", errors.TwoPathMismatchError)
+    assert_error_line("json", err, 2, "disagree", errors.TwoPathMismatchError)
     assert json.loads(err)["class"] == "TwoPathMismatchError"
 
 
@@ -338,6 +361,9 @@ _D4290 = 10**4289 + 7
         (["link", "--weights", ",".join(["1"] * 40), "--degree", str(10**120 + 1)], "digits"),
         # the cover degree k d has about 8580 digits
         (["cover", "--weights", f"1,1,{_D4290}", "--degree", str(_D4290), "-k", str(_D4290 + 1)], "digits"),
+        # genus 49985001: the digit bound must come before the order law,
+        # which would spend minutes forming k^(2g) of about 1.2e9 digits
+        (["cover", "--weights", "1,1,1", "--degree", "10000", "-k", "1000000000001"], "digits"),
     ],
     ids=[
         "cover-large-k",
@@ -353,6 +379,7 @@ _D4290 = 10**4289 + 7
         "genus-huge-fractional-genus",
         "link-many-weights-huge-coefficient",
         "cover-huge-weights",
+        "cover-large-genus-and-k",
     ],
 )
 def test_oversized_inputs_are_input_errors(capsys, argv, reason):

@@ -140,6 +140,12 @@ def test_diagnose_cover_rejects_negative_root_multiplicity():
         diagnose_cover(WeightSystem((4, 10, 27), 40), 3)
 
 
+def test_diagnose_cover_rejects_fractional_genus():
+    # (2,2,3; 3) passes link_divisor, but its genus formula gives -3/8
+    with pytest.raises(NotASmoothCurveError, match="-3/8"):
+        diagnose_cover(WeightSystem((2, 2, 3), 3), 2)
+
+
 def test_diagnose_cover_matches_relation_path():
     # the divisor identity holds with or without coprimality
     _, inv = diagnose_cover(CUBIC, 3)

@@ -5,8 +5,14 @@ here plants a fault in one route and asserts that the sweep records it.
 The failure-text tests pin each of the nine checks' description exactly.
 """
 
-from whlink.divisor import OrlikDivisor
-from whlink.invariants import link_divisor, oracle_expand
+from math import gcd, lcm
+
+import pytest
+
+from whlink.cover import build_cover
+from whlink.divisor import OrlikDivisor, lam
+from whlink.errors import CrossCheckError, TwoPathMismatchError
+from whlink.invariants import link_divisor, link_invariants, oracle_expand
 from whlink.verify import (
     _FAILURE_CAP,
     build_grid,
@@ -78,3 +84,53 @@ def test_cover_two_path_failure_texts(plant_cover_fault):
         "w=(1,1,1; d=3), k=2: b_2 = 1, expected 0",
         "w=(1,1,1; d=3), k=2: torsion order 8 != 2^(2*1)",
     ]
+
+
+def test_group_ring_relation_counts_a_wrong_ring_product(monkeypatch):
+    # the relation is checked against the ring's own product, so a wrong
+    # product fails: a zero one everywhere, one without the gcd(a, b)
+    # factor wherever a and b share a factor
+    monkeypatch.setattr(OrlikDivisor, "__mul__", lambda self, other: OrlikDivisor())
+    check = check_group_ring_relation(40)
+    assert (check.checked, check.failed) == (1600, 1600)
+    assert check.failures[0] == "relation fails for lam(1) * lam(1)"
+
+    def without_gcd(self, other):
+        ((a, _), (b, _)) = self.items() + other.items()
+        return lam(lcm(a, b))
+
+    monkeypatch.setattr(OrlikDivisor, "__mul__", without_gcd)
+    check = check_group_ring_relation(40)
+    shared = [(a, b) for a in range(1, 41) for b in range(1, 41) if gcd(a, b) > 1]
+    assert (check.checked, check.failed) == (1600, len(shared))
+    assert check.failures[0] == "relation fails for lam(2) * lam(2)"
+
+
+def test_a_wrong_order_law_fails_cover_and_verify_alike(monkeypatch):
+    # one definition of the order law: compared against k^g instead of
+    # k^(2g), build_cover refuses the cover and verify counts the failure
+    monkeypatch.setattr("whlink.cover.cover_torsion_order", lambda k, genus: k**genus)
+    with pytest.raises(CrossCheckError) as excinfo:
+        build_cover(CUBIC, 2)
+    text = "w=(1,1,1; d=3), k=2: torsion order 4 != 2^(2*1)"
+    assert str(excinfo.value) == text
+    check = check_cover_two_path(build_grid(6)[0], 5)
+    assert 0 < check.failed < check.checked
+    assert check_cover_two_path([CUBIC_ROW], 2).failures == [text]
+
+
+def test_build_cover_raises_the_texts_verify_records(plant_cover_fault):
+    plant_cover_fault("whlink.cover")
+    with pytest.raises(TwoPathMismatchError) as excinfo:
+        build_cover(CUBIC, 2)
+    assert str(excinfo.value) == "w=(1,1,1; d=3), k=2: cover divisor paths disagree"
+    with pytest.raises(CrossCheckError) as excinfo:
+        build_cover(CUBIC, 2, skip_direct_path=True)
+    assert str(excinfo.value) == "w=(1,1,1; d=3), k=2: b_2 = 1, expected 0"
+
+
+def test_link_invariants_raises_the_duality_text_verify_records(monkeypatch):
+    monkeypatch.setattr(type(CUBIC), "genus", lambda self: 2)
+    with pytest.raises(CrossCheckError) as excinfo:
+        link_invariants(CUBIC)
+    assert str(excinfo.value) == "w=(1,1,1; d=3): multiplicity 2 != 2 * genus 2"
