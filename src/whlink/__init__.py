@@ -15,7 +15,6 @@ from .errors import (
     FamilyDomainError,
     InputError,
     InvalidIndexError,
-    MalformedDivisorError,
     NotAPolynomialError,
     NotASmoothCurveError,
     TwoPathMismatchError,
@@ -24,7 +23,6 @@ from .errors import (
 from .invariants import (
     MAX_POLY_DEGREE,
     LinkInvariants,
-    betti_from_divisor,
     char_poly_from_divisor,
     invariants_from_divisor,
     link_invariants,
@@ -60,14 +58,12 @@ __all__ = [
     "FamilyDomainError",
     "InputError",
     "InvalidIndexError",
-    "MalformedDivisorError",
     "NotAPolynomialError",
     "NotASmoothCurveError",
     "TwoPathMismatchError",
     "WhlinkError",
     "MAX_POLY_DEGREE",
     "LinkInvariants",
-    "betti_from_divisor",
     "char_poly_from_divisor",
     "invariants_from_divisor",
     "link_invariants",

@@ -143,7 +143,7 @@ def build_cover(base: WeightSystem, k: int, *, skip_direct_path: bool = False) -
     for check in cover_checks(base, base_inv.genus, k, via_relation, direct_system):
         raise_if_failed(*check)
         if inv is None:  # the torsion-digit bound, before the order law forms k^(2g)
-            inv = invariants_from_divisor(via_relation)
+            inv = invariants_from_divisor(system, via_relation)
     return CoverLink(
         base=base,
         k=k,
@@ -164,4 +164,4 @@ def diagnose_cover(base: WeightSystem, k: int) -> tuple[WeightSystem, LinkInvari
     """
     system = _adjoin_power(base, k)
     link_invariants(base)
-    return system, invariants_from_divisor(link_divisor(system))
+    return system, invariants_from_divisor(system, link_divisor(system))

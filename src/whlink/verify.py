@@ -4,16 +4,17 @@ Four properties, each checkable by exhaustion over a bounded grid:
 
   * the divisor ring's product against raw root multisets;
   * twice the genus against the divisor's coefficient sum;
-  * the production polynomial expansion against the brute-force one,
-    including the value at t = 1 after stripping t - 1 factors;
+  * the production polynomial expansion against the brute-force one, and
+    the latter's degree and value at t = 1 against the divisor's;
   * the two ways of computing a cover divisor, together with the vanishing
     of b_2 and the k^(2g) order law.
 
 Every check that can fail is counted rather than raised, so one bad cell
-does not hide the rest; the second and fourth properties count
-``invariants.genus_betti_check`` and ``cover.cover_checks``, which ``link``
-and ``cover`` raise on.  Each check is one ``record(ok, template, *args)``
-call, and a failure's description is formatted only when it is kept.
+does not hide the rest; the last three properties count
+``invariants.genus_betti_check``, ``expansion_check`` and
+``cover.cover_checks``, which ``link`` and ``cover`` raise on.  Each check
+is one ``record(ok, template, *args)`` call, and a failure's description
+is formatted only when it is kept.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from . import polynomials as poly
 from .cover import cover_checks, cover_divisor, cover_weights
 from .divisor import relation_holds
 from .errors import InputError, NotAPolynomialError, require_int
-from .invariants import char_poly_from_divisor, genus_betti_check, oracle_expand
+from .invariants import char_poly_from_divisor, expansion_check, genus_betti_check, oracle_expand
 from .realization import iter_integral_genus_systems
 
 _FAILURE_CAP = 10
@@ -106,10 +107,11 @@ def check_genus_betti_duality(grid) -> PropertyCheck:
 def check_oracle_agreement(grid) -> PropertyCheck:
     """Both polynomial expansions agree, and so do the values at t = 1.
 
-    The value comparison strips the (t - 1)^multiplicity factor off the
-    oracle polynomial by reading the matching coefficient of p(1 + s),
-    then checks it against the divisor-side product of the j^{c_j}.  Grid
-    divisors encode polynomials, so a route that refuses one fails.
+    The oracle polynomial must pass ``invariants.expansion_check``, which
+    ``link`` raises on for the production one.  The (t - 1)^multiplicity
+    factor is then stripped off it by reading the matching coefficient of
+    p(1 + s), which must equal the divisor-side product of the j^{c_j}.
+    Grid divisors encode polynomials, so a route that refuses one fails.
     """
     check = PropertyCheck("oracle_agreement")
     for ws, _g, div in grid:
@@ -120,13 +122,11 @@ def check_oracle_agreement(grid) -> PropertyCheck:
             check.record(False, "{}: {}", ws, exc)
             continue
         check.record(pipeline == oracle, "{}: polynomial expansions disagree", ws)
-        mult = div.coefficient_sum()
-        root_ok = (sum(oracle) == 0) == (mult > 0)
-        check.record(root_ok, "{}: t = 1 root presence disagrees with multiplicity {}", ws, mult)
-        value = poly.shifted_coefficient(oracle, mult)
-        check.record(
-            value == div.reduced_value_at_one(), "{}: value at t = 1 came out {}", ws, value
-        )
+        value = div.reduced_value_at_one()
+        ok, _error, template, args = expansion_check(ws, div, oracle, value)
+        check.record(ok, template, *args)
+        shifted = poly.shifted_coefficient(oracle, div.coefficient_sum())
+        check.record(shifted == value, "{}: value at t = 1 came out {}", ws, shifted)
     return check
 
 

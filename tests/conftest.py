@@ -4,6 +4,7 @@ import pytest
 
 from whlink.cover import cover_divisor
 from whlink.divisor import lam
+from whlink.invariants import oracle_expand
 
 
 @pytest.fixture
@@ -18,3 +19,20 @@ def plant_cover_fault(monkeypatch):
         monkeypatch.setattr(f"{module}.cover_divisor", lambda div, k: cover_divisor(div, k) + lam(k))
 
     return plant
+
+
+@pytest.fixture
+def plant_expansion_fault(monkeypatch):
+    """Make an expansion route return its polynomial with the last coefficient one too big.
+
+    Call the fixture with the route's dotted name as its user looks it up,
+    ``"whlink.invariants.char_poly_from_divisor"`` for ``link`` or
+    ``"whlink.verify.oracle_expand"`` for the sweep; both plants give the
+    same polynomial.
+    """
+
+    def wrong(div):
+        p = oracle_expand(div)
+        return p[:-1] + [p[-1] + 1]
+
+    return lambda target: monkeypatch.setattr(target, wrong)

@@ -6,7 +6,7 @@ import pathlib
 import subprocess
 import sys
 import time
-from math import prod
+from math import lcm, prod
 
 import pytest
 
@@ -273,6 +273,14 @@ def test_verify_failure_is_an_error_line(capsys, monkeypatch):
         assert_error_line(fmt, err, 2, "verification failed", errors.CrossCheckError)
 
 
+def test_link_with_a_wrong_production_expansion_exits_2(capsys, plant_expansion_fault):
+    plant_expansion_fault("whlink.invariants.char_poly_from_divisor")
+    code, out, err = run(capsys, "link", "--weights", "1,1,1", "--degree", "3", "--format", "json")
+    assert (code, out) == (2, "")
+    assert_error_line("json", err, 2, "expansion has degree 8 and value 1", errors.CrossCheckError)
+    assert json.loads(err)["class"] == "CrossCheckError"
+
+
 def test_cover_with_a_wrong_relation_path_exits_2(capsys, plant_cover_fault):
     plant_cover_fault("whlink.cover")
     code, out, err = run(
@@ -334,6 +342,17 @@ _PRIMORIAL_5300 = prod(
 _D4290 = 10**4289 + 7
 
 
+def _brieskorn_pham(*exponents):
+    """``--weights`` and ``--degree`` of z_1^a_1 + ... + z_n^a_n."""
+    d = lcm(*exponents)
+    return ["--weights", ",".join(str(d // a) for a in exponents), "--degree", str(d)]
+
+
+# exponents 2 ... 64, 3 ... 81, 5, 25, 7 and 11: a divisor of 420 terms, whose
+# torsion order 1 is the quotient of two products of about 3e8 digits each
+_BP14 = (2, 4, 8, 16, 32, 64, 3, 9, 27, 81, 5, 25, 7, 11)
+
+
 @pytest.mark.parametrize(
     "argv, reason",
     [
@@ -364,6 +383,9 @@ _D4290 = 10**4289 + 7
         # genus 49985001: the digit bound must come before the order law,
         # which would spend minutes forming k^(2g) of about 1.2e9 digits
         (["cover", "--weights", "1,1,1", "--degree", "10000", "-k", "1000000000001"], "digits"),
+        (["link", *_brieskorn_pham(*_BP14)], "numerator has more than 100000 digits"),
+        # 6720 terms, which the link gate would take seconds to test
+        (["link", *_brieskorn_pham(*_BP14, 13, 17, 19, 23)], "more than 1000 terms"),
     ],
     ids=[
         "cover-large-k",
@@ -380,6 +402,8 @@ _D4290 = 10**4289 + 7
         "link-many-weights-huge-coefficient",
         "cover-huge-weights",
         "cover-large-genus-and-k",
+        "link-many-weights-huge-torsion-product",
+        "link-many-divisor-terms",
     ],
 )
 def test_oversized_inputs_are_input_errors(capsys, argv, reason):

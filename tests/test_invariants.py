@@ -6,12 +6,10 @@ import pytest
 
 from whlink import (
     MAX_POLY_DEGREE,
-    MalformedDivisorError,
     NotAPolynomialError,
     NotASmoothCurveError,
     OrlikDivisor,
     WeightSystem,
-    betti_from_divisor,
     char_poly_from_divisor,
     lam,
     link_invariants,
@@ -58,23 +56,6 @@ def test_divisor_association_order_irrelevant():
         for f in order:
             product = product * f
         assert product == reference
-
-
-def test_betti_from_divisor():
-    assert betti_from_divisor(3 * lam(3) - 1) == 2
-    assert betti_from_divisor(3 * lam(6) - 3 * lam(3) - lam(2) + 1) == 0
-    assert betti_from_divisor(lam(1)) == 1
-
-
-def test_betti_rejects_negative_sum():
-    with pytest.raises(MalformedDivisorError):
-        betti_from_divisor(lam(3) - 2)
-
-
-def test_betti_rejects_fractional():
-    # lam(3) / 2 is no longer a divisor: the division itself is refused
-    with pytest.raises(TypeError):
-        betti_from_divisor(lam(3) / 2)
 
 
 def test_char_poly_cubic():

@@ -5,6 +5,7 @@ here plants a fault in one route and asserts that the sweep records it.
 The failure-text tests pin each of the nine checks' description exactly.
 """
 
+from itertools import zip_longest
 from math import gcd, lcm
 
 import pytest
@@ -34,14 +35,21 @@ def test_cover_two_path_counts_a_wrong_relation_path(plant_cover_fault):
 
 
 def test_oracle_agreement_counts_a_wrong_oracle(monkeypatch):
+    # plus (t - 1)^2: every row's expansions disagree, but p(1) stays, and
+    # so does the degree unless it was below 2, and the value read off
+    # p(1 + s) moves only where the multiplicity is 2
     def wrong(div):
         p = oracle_expand(div)
-        return p[:-1] + [p[-1] + 1]
+        return [c + e for c, e in zip_longest(p, [1, -2, 1], fillvalue=0)]
 
     monkeypatch.setattr("whlink.verify.oracle_expand", wrong)
-    check = check_oracle_agreement(build_grid(6)[0])
-    assert 0 < check.failed < check.checked
-    assert any("polynomial expansions disagree" in f for f in check.failures)
+    grid = build_grid(6)[0]
+    check = check_oracle_agreement(grid)
+    low = sum(div.polynomial_degree() < 2 for _ws, _g, div in grid)
+    genus_one = sum(g == 1 for _ws, g, _div in grid)
+    assert (check.checked, check.failed) == (3 * len(grid), len(grid) + low + genus_one)
+    assert 0 < low and 0 < genus_one
+    assert check.failures[0].endswith(": polynomial expansions disagree")
 
 
 CUBIC = WeightSystem((1, 1, 1), 3)
@@ -67,14 +75,32 @@ def test_oracle_agreement_failure_text_for_a_refused_divisor():
 
 
 def test_oracle_agreement_failure_texts(monkeypatch):
-    # the constant 1: another polynomial, no root at t = 1, and value 0 read
-    # as the coefficient of s^2 in p(1 + s)
+    # the constant 1: another polynomial, of degree 0 and value 1 at t = 1,
+    # and value 0 read as the coefficient of s^2 in p(1 + s)
     monkeypatch.setattr("whlink.verify.oracle_expand", lambda div: [1])
     assert check_oracle_agreement([CUBIC_ROW]).failures == [
         "w=(1,1,1; d=3): polynomial expansions disagree",
-        "w=(1,1,1; d=3): t = 1 root presence disagrees with multiplicity 2",
+        "w=(1,1,1; d=3): expansion has degree 0 and value 1 at t = 1, the divisor gives 8 and 0",
         "w=(1,1,1; d=3): value at t = 1 came out 0",
     ]
+
+
+# the expansion of (1,1,1; 3), (t^2 + t + 1)^3 (t - 1)^2, with a last coefficient of 2
+WRONG_EXPANSION_TEXT = (
+    "w=(1,1,1; d=3): expansion has degree 8 and value 1 at t = 1, the divisor gives 8 and 0"
+)
+
+
+def test_a_wrong_expansion_fails_link_and_verify_alike(plant_expansion_fault):
+    # one definition of the expansion check: link_invariants raises on the
+    # planted production polynomial, and verify records the same text for
+    # the same polynomial as the oracle's
+    plant_expansion_fault("whlink.invariants.char_poly_from_divisor")
+    with pytest.raises(CrossCheckError) as excinfo:
+        link_invariants(CUBIC)
+    assert str(excinfo.value) == WRONG_EXPANSION_TEXT
+    plant_expansion_fault("whlink.verify.oracle_expand")
+    assert check_oracle_agreement([CUBIC_ROW]).failures[1] == WRONG_EXPANSION_TEXT
 
 
 def test_cover_two_path_failure_texts(plant_cover_fault):
