@@ -70,8 +70,8 @@ class OrlikDivisor:
     def __hash__(self):
         return hash(frozenset(self._terms.items()))
 
-    def __bool__(self):
-        return bool(self._terms)
+    def __len__(self):
+        return len(self._terms)
 
     # -- inspection --------------------------------------------------------
 

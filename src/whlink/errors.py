@@ -83,7 +83,7 @@ def raise_if_failed(ok, error, template, args):
 MAX_ORDER_DIGITS = 4000
 
 
-def require_digits(digits: float, what: str, limit: int = MAX_ORDER_DIGITS) -> None:
-    """Raise ``InputError`` when ``what`` has more than ``limit`` digits."""
-    if digits > limit:
-        raise InputError(f"{what} has more than {limit} digits")
+def require_digits(digits: float, what: str) -> None:
+    """Raise ``InputError`` when ``what`` has more than MAX_ORDER_DIGITS digits."""
+    if digits > MAX_ORDER_DIGITS:
+        raise InputError(f"{what} has more than {MAX_ORDER_DIGITS} digits")

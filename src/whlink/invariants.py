@@ -16,13 +16,12 @@ sum_j a_j lam(j) - 1.  Everything else is read off that divisor:
   * the polynomial itself expands to prod_j (t^j - 1)^{c_j}, computed here
     two independent ways so each can police the other.
 
-Four caps bound the work: ``MAX_POLY_DEGREE`` is the largest polynomial
-the pipeline expands (larger ones are reported as divisors only);
-``errors.MAX_ORDER_DIGITS`` the most decimal digits of a torsion order or
-divisor coefficient it computes and prints; ``MAX_DIVISOR_TERMS`` the most
-terms of a divisor the link gate tests; and ``MAX_PRODUCT_DIGITS`` the most
-digits of the product of the j^{c_j} with c_j > 0 that a torsion order is
-divided out of.  Past the last three the input is rejected.
+Four caps bound the work: ``MAX_POLY_DEGREE``, the largest polynomial the
+pipeline expands (larger ones are reported as divisors only), and three past
+which the input is rejected: ``errors.MAX_ORDER_DIGITS`` digits of a torsion
+order or divisor coefficient, ``MAX_DIVISOR_TERMS`` terms of a divisor the
+link gate tests, and ``MAX_PRODUCT_DIGITS`` digits of prod_{c_j > 0} j^{c_j},
+the product a torsion order is divided out of.
 """
 
 from __future__ import annotations
@@ -45,10 +44,10 @@ from .weights import WeightSystem
 
 MAX_POLY_DEGREE = 10_000
 # On a 2-vCPU Xeon VM the link gate takes 0.12 s at 840 terms and 8 s at 6720,
-# and three weights give at most 8 terms, their covers 16; prod j^{c_j} takes
-# 15 ms at 10^5 digits and 0.5 s at 10^6, and README-scale queries stay below 5000.
+# and three weights give at most 8 terms, their covers 16; prod j^{c_j} and its
+# division take 0.4 s at 10^6 digits and 1.2 s at 2 * 10^6.
 MAX_DIVISOR_TERMS = 1000
-MAX_PRODUCT_DIGITS = 100_000
+MAX_PRODUCT_DIGITS = 1_000_000
 
 
 def milnor_orlik_divisor(ws: WeightSystem) -> OrlikDivisor | None:
@@ -98,7 +97,7 @@ def link_divisor(ws: WeightSystem) -> OrlikDivisor:
     first, or a coefficient past ``MAX_ORDER_DIGITS`` raises ``InputError``.
     """
     div = milnor_orlik_divisor(ws)
-    if div is not None and len(div.items()) > MAX_DIVISOR_TERMS:
+    if div is not None and len(div) > MAX_DIVISOR_TERMS:
         raise InputError(f"the divisor of {ws} has more than {MAX_DIVISOR_TERMS} terms")
     if div is None or not div.encodes_polynomial():
         raise NotASmoothCurveError(
@@ -200,14 +199,15 @@ class LinkInvariants:
         }
 
 
-def invariants_from_divisor(ws: WeightSystem, div: OrlikDivisor, *, genus=None) -> LinkInvariants:
+def invariants_from_divisor(
+    ws: WeightSystem, div: OrlikDivisor, *, genus: int | None = None
+) -> LinkInvariants:
     """Assemble the invariant record of ``ws`` for its already computed divisor.
 
     ``genus`` is stored, not checked; ``link_invariants`` checks it.  The
-    torsion order's digits are estimated as sum_j c_j log10 j, and those
-    of the product it is divided out of as the sum of the positive terms;
-    ``require_digits`` bounds both before any power is computed.  An
-    expanded polynomial must pass ``expansion_check``.
+    digits of the torsion order (sum_j c_j log10 j) and of the product it is
+    divided out of (the terms with c_j > 0) are bounded before any power is
+    computed.  An expanded polynomial must pass ``expansion_check``.
     """
     mult = div.coefficient_sum()
     delta_at_one = None
@@ -217,8 +217,9 @@ def invariants_from_divisor(ws: WeightSystem, div: OrlikDivisor, *, genus=None) 
         except OverflowError:  # a coefficient past the float range
             logs = [inf]
         require_digits(sum(logs), "the torsion order")
-        numerator = sum(x for x in logs if x > 0)
-        require_digits(numerator, "the torsion order's numerator", MAX_PRODUCT_DIGITS)
+        if sum(x for x in logs if x > 0) > MAX_PRODUCT_DIGITS:
+            limit = MAX_PRODUCT_DIGITS
+            raise InputError(f"the torsion order's numerator has more than {limit} digits")
         value = div.reduced_value_at_one()
         if value.denominator != 1 or value <= 0:
             raise ConsistencyError(f"torsion order came out as {value}, not a positive integer")

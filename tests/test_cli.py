@@ -383,7 +383,7 @@ _BP14 = (2, 4, 8, 16, 32, 64, 3, 9, 27, 81, 5, 25, 7, 11)
         # genus 49985001: the digit bound must come before the order law,
         # which would spend minutes forming k^(2g) of about 1.2e9 digits
         (["cover", "--weights", "1,1,1", "--degree", "10000", "-k", "1000000000001"], "digits"),
-        (["link", *_brieskorn_pham(*_BP14)], "numerator has more than 100000 digits"),
+        (["link", *_brieskorn_pham(*_BP14)], "numerator has more than 1000000 digits"),
         # 6720 terms, which the link gate would take seconds to test
         (["link", *_brieskorn_pham(*_BP14, 13, 17, 19, 23)], "more than 1000 terms"),
     ],
@@ -435,3 +435,20 @@ def test_link_huge_degree_is_fast(capsys):
     assert code == 0
     assert data["betti"] == 2 * data["genus"] > 0
     assert data["delta_poly"] is None
+
+
+@pytest.mark.parametrize(
+    "weights, degree",
+    # z_1^64 + z_2^128 + z_3^(2^43) and z_1^16 + z_2^32 + z_3^(2^3300): each
+    # 3-fold cover's torsion order 3^(2g) is under 4000 digits, and the product
+    # it is divided out of has about 1.1e5 and 4.6e5 digits
+    [((2**37, 2**36, 1), 2**43), ((2**3296, 2**3295, 1), 2**3300)],
+    ids=["degree-2^43", "degree-2^3300"],
+)
+def test_large_degree_covers_with_long_torsion_products_answer(capsys, weights, degree):
+    argv = ["--weights", ",".join(map(str, weights)), "--degree", str(degree), "-k", "3"]
+    start = time.perf_counter()
+    code, data, _ = run_json(capsys, "cover", *argv)
+    assert time.perf_counter() - start < 2.0
+    assert code == 0
+    assert int(data["cover"]["delta_at_one"]) == 3 ** (2 * data["base"]["genus"])
