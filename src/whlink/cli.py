@@ -54,35 +54,33 @@ def _cmd_genus(args) -> tuple:
     g = ws.genus()
     link_divisor(ws)
     fano = ws.fano_index()
-    payload = {"weights": list(ws.weights), "degree": ws.degree, "genus": g, "fano_index": fano}
+    payload = {**ws.as_json(), "genus": g, "fano_index": fano}
     return payload, lambda: print(f"{ws}: genus {g}, Fano index {fano}")
 
 
-def _describe_link(ws, inv) -> str:
-    betti = "b1" if ws.n == 3 else "b2"
-    lines = [f"{ws}: divisor {inv.divisor}", f"  {betti} = {inv.multiplicity_of_unity}"]
+def _describe_link(inv) -> str:
+    i = inv.system.n - 2  # the link is (2i + 1)-dimensional; the divisor gives b_i and |H_i|
+    lines = [f"{inv.system}: divisor {inv.divisor}", f"  b{i} = {inv.multiplicity_of_unity}"]
     if inv.genus is not None:
         lines.append(f"  genus = {inv.genus}")
     if inv.delta_at_one is not None:
-        lines.append(f"  |H_2| = Delta(1) = {inv.delta_at_one}")
+        lines.append(f"  |H_{i}| = Delta(1) = {inv.delta_at_one}")
     if inv.char_poly is not None:
         lines.append(f"  Delta degree = {len(inv.char_poly) - 1}")
     return "\n".join(lines)
 
 
 def _cmd_link(args) -> tuple:
-    ws = _system_from_args(args)
-    inv = link_invariants(ws)
-    return inv.as_json(ws), lambda: print(_describe_link(ws, inv))
+    inv = link_invariants(_system_from_args(args))
+    return inv.as_json(), lambda: print(_describe_link(inv))
 
 
 def _cmd_cover(args) -> tuple:
-    base = _system_from_args(args)
-    cover = build_cover(base, args.k, skip_direct_path=args.skip_direct_path)
+    cover = build_cover(_system_from_args(args), args.k, skip_direct_path=args.skip_direct_path)
 
     def write_text():
-        print(_describe_link(base, cover.base_invariants))
-        print(_describe_link(cover.cover_system, cover.invariants))
+        print(_describe_link(cover.base_invariants))
+        print(_describe_link(cover.invariants))
         print(f"  divisor paths: {'skipped' if cover.paths_agree is None else 'agree'}")
 
     return cover.as_json(), write_text

@@ -7,11 +7,12 @@ link.  On divisors the passage is multiplication by lam(k) - 1, and when
 gcd(d, k) = 1 the cover is a rational homology sphere whose H_2 has order
 k^(2g), g the genus of the base curve.
 
-``build_cover`` computes the cover divisor both ways, from the 4-variable
-weight system directly and through the lam(k) - 1 product, and refuses to
-return unless ``cover_checks`` passes: the two agree, b_2 = 0, and the
-order law holds.  The redundancy is the point: every cover built is a
-self-test of the whole pipeline, and ``verify`` sweeps the same checks.
+``build_cover`` assembles the cover's record from the lam(k) - 1 product,
+then raises the first failing ``cover_checks`` result: the cover divisor
+computed directly from the 4-variable weight system must agree with it,
+b_2 must vanish, and the printed |H_2| must be k^(2g).  The redundancy is
+the point: every cover built is a self-test of the whole pipeline, and
+``verify`` sweeps the same checks.
 """
 
 from __future__ import annotations
@@ -41,15 +42,13 @@ from .weights import WeightSystem
 
 @dataclass(frozen=True)
 class CoverLink:
-    """A branched cover together with the invariants of base and cover.
+    """A branched cover together with the invariant records of base and cover.
 
     ``paths_agree`` is True when both divisor computations ran and matched,
     and None when the direct path was skipped on request.
     """
 
-    base: WeightSystem
     k: int
-    cover_system: WeightSystem
     base_invariants: LinkInvariants
     invariants: LinkInvariants
     paths_agree: bool | None
@@ -61,8 +60,8 @@ class CoverLink:
     def as_json(self) -> dict:
         return {
             "k": self.k,
-            "base": self.base_invariants.as_json(self.base),
-            "cover": self.invariants.as_json(self.cover_system),
+            "base": self.base_invariants.as_json(),
+            "cover": self.invariants.as_json(),
             "paths_agree": self.paths_agree,
         }
 
@@ -71,12 +70,19 @@ _EXPONENT = "cover exponent must be an integer greater than 1"
 
 
 def _adjoin_power(base: WeightSystem, k: int) -> WeightSystem:
-    """Weight system (d, k w_1, k w_2, k w_3; k d) of base + z_0^k, any k > 1."""
+    """Weight system (d, k w_1, k w_2, k w_3; k d) of base + z_0^k, any k > 1.
+
+    A cover weight or degree of more than ``MAX_ORDER_DIGITS`` digits raises
+    ``InputError``.
+    """
     if base.n != 3:
         raise InputError("covers are built over 3-variable weight systems")
     require_int(k, 2, _EXPONENT)
     d = base.degree
-    return WeightSystem((d,) + tuple(k * w for w in base.weights), k * d)
+    system = WeightSystem((d,) + tuple(k * w for w in base.weights), k * d)
+    largest = max(system.weights + (system.degree,))
+    require_digits(largest.bit_length() * log10(2), "a cover weight or degree")
+    return system
 
 
 def cover_weights(base: WeightSystem, k: int) -> WeightSystem:
@@ -86,8 +92,6 @@ def cover_weights(base: WeightSystem, k: int) -> WeightSystem:
         raise CoprimalityError(
             f"cover exponent {k} must be coprime to the degree {base.degree}"
         )
-    largest = max(system.weights + (system.degree,))
-    require_digits(largest.bit_length() * log10(2), "a cover weight or degree")
     return system
 
 
@@ -103,19 +107,19 @@ def cover_torsion_order(k: int, genus: int) -> int:
     return k ** (2 * genus)
 
 
-def cover_checks(base, genus, k, via_relation, system):
+def cover_checks(base, genus, k, via_relation, order, system):
     """The cover's cross-checks as (ok, error class, template, args) tuples.
 
     The direct divisor of ``system`` against ``via_relation`` (left out when
-    ``system`` is None), b_2 = 0, and the order law: ``build_cover`` raises
-    the first failure, ``verify`` counts them all.
+    ``system`` is None), b_2 = 0, and the order law on ``order``, the torsion
+    order the caller read off ``via_relation``: ``build_cover`` raises the
+    first failure, ``verify`` counts them all.
     """
     if system is not None:
         ok = milnor_orlik_divisor(system) == via_relation
         yield ok, TwoPathMismatchError, "{}, k={}: cover divisor paths disagree", (base, k)
     b_2 = via_relation.coefficient_sum()
     yield b_2 == 0, CrossCheckError, "{}, k={}: b_2 = {}, expected 0", (base, k, b_2)
-    order = via_relation.reduced_value_at_one()
     ok = order == cover_torsion_order(k, genus)
     args = (base, k, order, k, genus)
     yield ok, CrossCheckError, "{}, k={}: torsion order {} != {}^(2*{})", args
@@ -124,38 +128,30 @@ def cover_checks(base, genus, k, via_relation, system):
 def build_cover(base: WeightSystem, k: int, *, skip_direct_path: bool = False) -> CoverLink:
     """Construct the k-fold branched cover and verify it two ways.
 
-    The cover divisor is computed from the 4-variable weight system and as
-    (lam(k) - 1) times the base divisor; ``cover_checks`` then compares the
-    two, and tests b_2 = 0 and the order k^(2g).  A failure raises its
-    consistency error, since each would contradict what the construction
-    guarantees for gcd(d, k) = 1.
+    The cover's record is assembled from (lam(k) - 1) times the base
+    divisor, its torsion-digit bound included, before any check runs.  The
+    first failing ``cover_checks`` result then raises its consistency
+    error: the divisor computed from the 4-variable weight system differs,
+    b_2 is not 0, or the record's |H_2| is not k^(2g).  Each would
+    contradict what the construction guarantees for gcd(d, k) = 1.
 
-    ``skip_direct_path`` drops the first computation, leaving ``paths_agree``
+    ``skip_direct_path`` drops the direct computation, leaving ``paths_agree``
     None.  It saves almost nothing, since the direct product has at most
     tau(k d) terms and takes about 15 us even at k = 10**12; it remains only
     as the back end of ``cover --skip-direct-path``.
     """
     system = cover_weights(base, k)
     base_inv = link_invariants(base)
-    via_relation = cover_divisor(base_inv.divisor, k)
+    via = cover_divisor(base_inv.divisor, k)
+    inv = invariants_from_divisor(system, via)
     direct_system = None if skip_direct_path else system
-    inv = None
-    for check in cover_checks(base, base_inv.genus, k, via_relation, direct_system):
+    for check in cover_checks(base, base_inv.genus, k, via, inv.delta_at_one, direct_system):
         raise_if_failed(*check)
-        if inv is None:  # the torsion-digit bound, before the order law forms k^(2g)
-            inv = invariants_from_divisor(system, via_relation)
-    return CoverLink(
-        base=base,
-        k=k,
-        cover_system=system,
-        base_invariants=base_inv,
-        invariants=inv,
-        paths_agree=None if skip_direct_path else True,
-    )
+    return CoverLink(k, base_inv, inv, paths_agree=None if skip_direct_path else True)
 
 
-def diagnose_cover(base: WeightSystem, k: int) -> tuple[WeightSystem, LinkInvariants]:
-    """Invariants of z_0^k over a base without the coprimality hypothesis.
+def diagnose_cover(base: WeightSystem, k: int) -> LinkInvariants:
+    """Invariant record of z_0^k over a base without the coprimality hypothesis.
 
     The base passes ``link_invariants``, the gate ``build_cover`` asks of it,
     and the cover system passes ``link_divisor``.  Nothing more is asserted:
@@ -164,4 +160,4 @@ def diagnose_cover(base: WeightSystem, k: int) -> tuple[WeightSystem, LinkInvari
     """
     system = _adjoin_power(base, k)
     link_invariants(base)
-    return system, invariants_from_divisor(system, link_divisor(system))
+    return invariants_from_divisor(system, link_divisor(system))

@@ -9,10 +9,10 @@ which for a quasi-smooth polynomial collapses to an integer combination
 sum_j a_j lam(j) - 1.  Everything else is read off that divisor:
 
   * the coefficient sum counts the t - 1 factors of the polynomial and is
-    the first Betti number of a 3-variable link (twice the curve genus) or
-    the second Betti number of a 4-variable one;
+    the Betti number b_{n-2} of the (2n - 3)-dimensional link of n
+    variables: b_1 for three (twice the curve genus), b_2 for four;
   * when the sum is zero the link is a rational homology sphere and the
-    value at t = 1 is the order of its H_2 torsion group;
+    value at t = 1 is the order of its H_{n-2}, reduced for n = 2;
   * the polynomial itself expands to prod_j (t^j - 1)^{c_j}, computed here
     two independent ways so each can police the other.
 
@@ -170,25 +170,25 @@ def oracle_expand(div: OrlikDivisor) -> list:
 
 @dataclass(frozen=True)
 class LinkInvariants:
-    """Everything the divisor pipeline knows about one link.
+    """Everything the divisor pipeline knows about the link of ``system``.
 
-    ``multiplicity_of_unity`` is the coefficient sum: b_1 for a 3-variable
-    link, b_2 for a 4-variable one.  ``delta_at_one`` is present exactly
-    when that multiplicity vanishes and is then the order of H_2 torsion.
-    ``char_poly`` is populated only when the expanded degree fits under
-    ``MAX_POLY_DEGREE``.  ``genus`` is present for 3-variable links only.
+    ``multiplicity_of_unity`` is the coefficient sum, b_{n-2} of the link of
+    n variables: b_1 for three, b_2 for four.  ``delta_at_one`` is present
+    exactly when that multiplicity vanishes and is then the order of
+    H_{n-2}.  ``char_poly`` is populated only when the expanded degree fits
+    under ``MAX_POLY_DEGREE``.  ``genus`` is present for 3-variable links only.
     """
 
+    system: WeightSystem
     divisor: OrlikDivisor
     multiplicity_of_unity: int
     char_poly: list | None
     delta_at_one: int | None
     genus: int | None
 
-    def as_json(self, system: WeightSystem) -> dict:
+    def as_json(self) -> dict:
         return {
-            "weights": list(system.weights),
-            "degree": system.degree,
+            **self.system.as_json(),
             "divisor": self.divisor.as_json(),
             "betti": self.multiplicity_of_unity,
             "genus": self.genus,
@@ -199,16 +199,16 @@ class LinkInvariants:
         }
 
 
-def invariants_from_divisor(
-    ws: WeightSystem, div: OrlikDivisor, *, genus: int | None = None
-) -> LinkInvariants:
+def invariants_from_divisor(ws: WeightSystem, div: OrlikDivisor) -> LinkInvariants:
     """Assemble the invariant record of ``ws`` for its already computed divisor.
 
-    ``genus`` is stored, not checked; ``link_invariants`` checks it.  The
-    digits of the torsion order (sum_j c_j log10 j) and of the product it is
-    divided out of (the terms with c_j > 0) are bounded before any power is
-    computed.  An expanded polynomial must pass ``expansion_check``.
+    For three weights ``WeightSystem.genus`` is computed first and stored,
+    not checked; ``link_invariants`` checks it.  The digits of the torsion
+    order (sum_j c_j log10 j) and of the product it is divided out of (the
+    terms with c_j > 0) are bounded before any power is computed.  An
+    expanded polynomial must pass ``expansion_check``.
     """
+    genus = ws.genus() if ws.n == 3 else None
     mult = div.coefficient_sum()
     delta_at_one = None
     if mult == 0:
@@ -228,23 +228,17 @@ def invariants_from_divisor(
     if div.polynomial_degree() <= MAX_POLY_DEGREE:
         char_poly = char_poly_from_divisor(div)
         raise_if_failed(*expansion_check(ws, div, char_poly, delta_at_one))
-    return LinkInvariants(
-        divisor=div,
-        multiplicity_of_unity=mult,
-        char_poly=char_poly,
-        delta_at_one=delta_at_one,
-        genus=genus,
-    )
+    return LinkInvariants(ws, div, mult, char_poly, delta_at_one, genus)
 
 
 def link_invariants(ws: WeightSystem) -> LinkInvariants:
     """Full invariant record of the link of a weight system.
 
-    The divisor comes from ``link_divisor``.  For three variables the
-    genus is computed independently and ``genus_betti_check`` must pass.
+    The divisor comes from ``link_divisor``, and the record from
+    ``invariants_from_divisor``.  For three variables its genus, computed
+    independently of the divisor, must then pass ``genus_betti_check``.
     """
-    div = link_divisor(ws)
-    genus = ws.genus() if ws.n == 3 else None
-    if genus is not None:
-        raise_if_failed(*genus_betti_check(ws, genus, div))
-    return invariants_from_divisor(ws, div, genus=genus)
+    inv = invariants_from_divisor(ws, link_divisor(ws))
+    if inv.genus is not None:
+        raise_if_failed(*genus_betti_check(ws, inv.genus, inv.divisor))
+    return inv

@@ -136,7 +136,9 @@ def check_cover_two_path(grid, max_k: int) -> PropertyCheck:
     for ws, g, div in grid:
         for k in range(2, max_k + 1):
             if gcd(ws.degree, k) == 1:
-                checks = cover_checks(ws, g, k, cover_divisor(div, k), cover_weights(ws, k))
+                via = cover_divisor(div, k)
+                order = via.reduced_value_at_one()
+                checks = cover_checks(ws, g, k, via, order, cover_weights(ws, k))
                 for ok, _error, template, args in checks:
                     check.record(ok, template, *args)
     return check

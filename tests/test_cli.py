@@ -67,6 +67,28 @@ def test_link_json_poincare(capsys):
     assert data["delta_at_one"] == "1"
 
 
+@pytest.mark.parametrize(
+    "weights, degree, lines",
+    [
+        # the trefoil knot: a circle, whose reduced H_0 vanishes
+        ("3,2", "6", ["  b0 = 0", "  |H_0| = Delta(1) = 1"]),
+        # the Poincare sphere, a homology 3-sphere
+        ("15,10,6", "30", ["  b1 = 0", "  |H_1| = Delta(1) = 1"]),
+        ("1,2,3", "7", ["  b1 = 2"]),
+        ("3,2,2,2", "6", ["  b2 = 0", "  |H_2| = Delta(1) = 4"]),
+        # the 7-dimensional links of a quadric, H_3 = Z/2, and of a cubic
+        ("1,1,1,1,1", "2", ["  b3 = 0", "  |H_3| = Delta(1) = 2"]),
+        ("1,1,1,1,1", "3", ["  b3 = 10"]),
+    ],
+)
+def test_link_text_labels_homology_by_dimension(capsys, weights, degree, lines):
+    # the link of n variables has dimension 2n - 3; the divisor gives b_{n-2} and |H_{n-2}|
+    code, out, _ = run(capsys, "link", "--weights", weights, "--degree", degree)
+    assert code == 0
+    labels = [line for line in out.splitlines() if line.startswith(("  b", "  |H"))]
+    assert labels == lines
+
+
 def test_json_output_is_byte_stable(capsys):
     first = run(capsys, "realize", "12", "--format", "json")
     second = run(capsys, "realize", "12", "--format", "json")

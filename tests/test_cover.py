@@ -68,7 +68,7 @@ def test_build_cover_cubic_k2():
     assert cover.h2_order == 4
     assert cover.invariants.multiplicity_of_unity == 0
     assert cover.paths_agree is True
-    assert cover.cover_system == WeightSystem((3, 2, 2, 2), 6)
+    assert cover.invariants.system == WeightSystem((3, 2, 2, 2), 6)
     assert cover.base_invariants.genus == 1
 
 
@@ -120,10 +120,41 @@ def test_cover_json_shape():
 def test_diagnose_cover_without_coprimality():
     # k = d = 3: the divisor calculus still runs, b_2 is positive, and
     # nothing is asserted about torsion
-    system, inv = diagnose_cover(CUBIC, 3)
-    assert system == WeightSystem((3, 3, 3, 3), 9)
+    inv = diagnose_cover(CUBIC, 3)
+    assert inv.system == WeightSystem((3, 3, 3, 3), 9)
     assert inv.multiplicity_of_unity == 6
     assert inv.delta_at_one is None
+
+
+def test_diagnose_cover_bounds_the_cover_digits():
+    # a cover degree of 4401 digits: the record could not be printed, since
+    # Python refuses to turn an int of more than 4300 digits into a string
+    with pytest.raises(InputError, match="a cover weight or degree has more than 4000 digits"):
+        diagnose_cover(CUBIC, 3 * 10**4400)
+    # past the bound and sharing a factor with the degree: the bound is reported
+    with pytest.raises(InputError, match="more than 4000 digits"):
+        cover_weights(CUBIC, 3 * 10**4400)
+
+
+def test_cover_records_read_the_torsion_order_once(monkeypatch):
+    # build_cover forms the cover's |H_2| once, in its record, and the
+    # order law checks that value
+    from whlink import realize
+    from whlink.divisor import OrlikDivisor
+
+    calls = []
+    value_at_one = OrlikDivisor.reduced_value_at_one
+
+    def counted(self):
+        calls.append(self)
+        return value_at_one(self)
+
+    monkeypatch.setattr(OrlikDivisor, "reduced_value_at_one", counted)
+    assert build_cover(CUBIC, 2).h2_order == 4
+    assert len(calls) == 1
+    calls.clear()
+    assert realize(8).h2_order == 64
+    assert len(calls) == 1
 
 
 def test_diagnose_cover_rejects_fractional_product():
@@ -148,7 +179,7 @@ def test_diagnose_cover_rejects_fractional_genus():
 
 def test_diagnose_cover_matches_relation_path():
     # the divisor identity holds with or without coprimality
-    _, inv = diagnose_cover(CUBIC, 3)
+    inv = diagnose_cover(CUBIC, 3)
     assert inv.divisor == cover_divisor(milnor_orlik_divisor(CUBIC), 3)
 
 

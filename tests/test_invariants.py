@@ -11,6 +11,7 @@ from whlink import (
     OrlikDivisor,
     WeightSystem,
     char_poly_from_divisor,
+    invariants_from_divisor,
     lam,
     link_invariants,
     milnor_orlik_divisor,
@@ -126,6 +127,14 @@ def test_link_invariants_four_variable_cover():
     assert inv.genus is None
 
 
+def test_invariants_from_divisor_stores_the_genus_of_three_weights():
+    ws = WeightSystem((1, 2, 3), 7)
+    inv = invariants_from_divisor(ws, milnor_orlik_divisor(ws))
+    assert inv.system == ws
+    assert inv.genus == 1
+    assert invariants_from_divisor(POINCARE, POINCARE_DIVISOR).genus == 0
+
+
 def test_link_invariants_respects_poly_degree_cap():
     # the plane curve of degree 30: polynomial degree 29^3 = 24389 > 10000
     inv = link_invariants(WeightSystem((1, 1, 1), 30))
@@ -142,7 +151,7 @@ def test_link_invariants_rejects_unrealizable_system():
 
 def test_json_report_shape():
     ws = WeightSystem((1, 2, 3), 7)
-    report = link_invariants(ws).as_json(ws)
+    report = link_invariants(ws).as_json()
     assert report["weights"] == [1, 2, 3]
     assert report["degree"] == 7
     assert report["betti"] == 2

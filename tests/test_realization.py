@@ -114,7 +114,7 @@ def test_family_genus_one_and_betti_two():
 def test_realize_k2():
     cert = realize(2)
     assert cert.chosen_p == 3
-    assert cert.cover.cover_system == WeightSystem((3, 2, 2, 2), 6)
+    assert cert.cover.invariants.system == WeightSystem((3, 2, 2, 2), 6)
     assert cert.h2_order == 4
     assert not cert.group_undetermined
     assert cert.manifold.summands == ((2, 1),)
