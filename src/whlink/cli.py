@@ -60,10 +60,11 @@ def _cmd_genus(args) -> tuple:
 
 def _describe_link(inv) -> str:
     i = inv.system.n - 2  # the link is (2i + 1)-dimensional; the divisor gives b_i and |H_i|
-    lines = [f"{inv.system}: divisor {inv.divisor}", f"  b{i} = {inv.multiplicity_of_unity}"]
+    b_i = inv.multiplicity_of_unity + (i == 0)  # but b_0 - 1 for i = 0, whose H_0 is free
+    lines = [f"{inv.system}: divisor {inv.divisor}", f"  b{i} = {b_i}"]
     if inv.genus is not None:
         lines.append(f"  genus = {inv.genus}")
-    if inv.delta_at_one is not None:
+    if inv.delta_at_one is not None and i > 0:
         lines.append(f"  |H_{i}| = Delta(1) = {inv.delta_at_one}")
     if inv.char_poly is not None:
         lines.append(f"  Delta degree = {len(inv.char_poly) - 1}")

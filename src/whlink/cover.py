@@ -7,12 +7,14 @@ link.  On divisors the passage is multiplication by lam(k) - 1, and when
 gcd(d, k) = 1 the cover is a rational homology sphere whose H_2 has order
 k^(2g), g the genus of the base curve.
 
-``build_cover`` assembles the cover's record from the lam(k) - 1 product,
-then raises the first failing ``cover_checks`` result: the cover divisor
-computed directly from the 4-variable weight system must agree with it,
-b_2 must vanish, and the printed |H_2| must be k^(2g).  The redundancy is
-the point: every cover built is a self-test of the whole pipeline, and
-``verify`` sweeps the same checks.
+``cover_weights`` builds the cover's weight system for any k > 1, and
+``build_cover`` then rejects a k sharing a factor with d.  It assembles the
+cover's record from the lam(k) - 1 product, then raises the first failing
+``cover_checks`` result: the cover divisor computed directly from the
+4-variable weight system must agree with it, b_2 must vanish, and the
+printed |H_2| must be k^(2g).  The redundancy is the point: every cover
+built is a self-test of the whole pipeline, and ``verify`` sweeps the same
+checks.
 """
 
 from __future__ import annotations
@@ -69,10 +71,12 @@ class CoverLink:
 _EXPONENT = "cover exponent must be an integer greater than 1"
 
 
-def _adjoin_power(base: WeightSystem, k: int) -> WeightSystem:
+def cover_weights(base: WeightSystem, k: int) -> WeightSystem:
     """Weight system (d, k w_1, k w_2, k w_3; k d) of base + z_0^k, any k > 1.
 
-    A cover weight or degree of more than ``MAX_ORDER_DIGITS`` digits raises
+    Coprimality is not tested: ``build_cover`` asks it, ``diagnose_cover``
+    goes without it, and the ``verify`` sweep takes coprime k only.  A
+    cover weight or degree of more than ``MAX_ORDER_DIGITS`` digits raises
     ``InputError``.
     """
     if base.n != 3:
@@ -82,16 +86,6 @@ def _adjoin_power(base: WeightSystem, k: int) -> WeightSystem:
     system = WeightSystem((d,) + tuple(k * w for w in base.weights), k * d)
     largest = max(system.weights + (system.degree,))
     require_digits(largest.bit_length() * log10(2), "a cover weight or degree")
-    return system
-
-
-def cover_weights(base: WeightSystem, k: int) -> WeightSystem:
-    """Weight system of the k-fold cover, for k coprime to the degree."""
-    system = _adjoin_power(base, k)
-    if gcd(base.degree, k) != 1:
-        raise CoprimalityError(
-            f"cover exponent {k} must be coprime to the degree {base.degree}"
-        )
     return system
 
 
@@ -128,12 +122,13 @@ def cover_checks(base, genus, k, via_relation, order, system):
 def build_cover(base: WeightSystem, k: int, *, skip_direct_path: bool = False) -> CoverLink:
     """Construct the k-fold branched cover and verify it two ways.
 
-    The cover's record is assembled from (lam(k) - 1) times the base
-    divisor, its torsion-digit bound included, before any check runs.  The
-    first failing ``cover_checks`` result then raises its consistency
-    error: the divisor computed from the 4-variable weight system differs,
-    b_2 is not 0, or the record's |H_2| is not k^(2g).  Each would
-    contradict what the construction guarantees for gcd(d, k) = 1.
+    A k sharing a factor with the base degree raises ``CoprimalityError``.
+    The cover's record is assembled from (lam(k) - 1) times the base divisor,
+    its torsion-digit bound included, before any check runs.  The first
+    failing ``cover_checks`` result then raises its consistency error: the
+    divisor computed from the 4-variable weight system differs, b_2 is not
+    0, or the record's |H_2| is not k^(2g).  Each would contradict what the
+    construction guarantees for gcd(d, k) = 1.
 
     ``skip_direct_path`` drops the direct computation, leaving ``paths_agree``
     None.  It saves almost nothing, since the direct product has at most
@@ -141,6 +136,8 @@ def build_cover(base: WeightSystem, k: int, *, skip_direct_path: bool = False) -
     as the back end of ``cover --skip-direct-path``.
     """
     system = cover_weights(base, k)
+    if gcd(base.degree, k) != 1:
+        raise CoprimalityError(f"cover exponent {k} must be coprime to the degree {base.degree}")
     base_inv = link_invariants(base)
     via = cover_divisor(base_inv.divisor, k)
     inv = invariants_from_divisor(system, via)
@@ -158,6 +155,6 @@ def diagnose_cover(base: WeightSystem, k: int) -> LinkInvariants:
     with gcd(d, k) > 1 the cover need not be a rational homology sphere, so
     the record may carry a positive multiplicity and no torsion order.
     """
-    system = _adjoin_power(base, k)
+    system = cover_weights(base, k)
     link_invariants(base)
     return invariants_from_divisor(system, link_divisor(system))

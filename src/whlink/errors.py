@@ -23,13 +23,9 @@ class InvalidIndexError(InputError):
 class NotASmoothCurveError(InputError):
     """No quasi-smooth curve has these weights.
 
-    Raised by ``WeightSystem.genus`` and ``invariants.link_divisor``.
+    Raised by ``WeightSystem.genus`` and ``invariants.link_divisor``; the
+    genus scan reads ``weights.genus_formula``, which raises nothing.
     """
-
-    def __str__(self):
-        # a callable message is formatted when read: the genus scans drop most unread
-        message = self.args[0]
-        return message() if callable(message) else message
 
 
 class CoprimalityError(InputError):

@@ -10,9 +10,11 @@ sum_j a_j lam(j) - 1.  Everything else is read off that divisor:
 
   * the coefficient sum counts the t - 1 factors of the polynomial and is
     the Betti number b_{n-2} of the (2n - 3)-dimensional link of n
-    variables: b_1 for three (twice the curve genus), b_2 for four;
+    variables: b_1 for three (twice the curve genus), b_2 for four, and
+    b_0 - 1 for two, whose link is b_0 circles;
   * when the sum is zero the link is a rational homology sphere and the
-    value at t = 1 is the order of its H_{n-2}, reduced for n = 2;
+    value at t = 1 is the order of its H_{n-2}; for two variables it is a
+    knot, with H_0 free and Alexander polynomial value Delta(1) = 1;
   * the polynomial itself expands to prod_j (t^j - 1)^{c_j}, computed here
     two independent ways so each can police the other.
 

@@ -23,6 +23,33 @@ def _printable(value: Fraction) -> str:
     return str(value)
 
 
+def genus_formula(w1: int, w2: int, w3: int, d: int) -> int | Fraction:
+    """Orlik-Wagreich genus of primitive weights (w_1, w_2, w_3) and degree d,
+
+        1/2 * ( d^2 / (w_1 w_2 w_3)
+                - d * sum_{i<j} gcd(w_i, w_j) / (w_i w_j)
+                + sum_i gcd(d, w_i) / w_i
+                - 1 ),
+
+    the plane-curve count (d-1)(d-2)/2 when all weights are 1: an int when
+    it is a non-negative integer, a ``Fraction`` otherwise.
+    """
+    # cleared of denominators: each term is the formula's times 2 * w1 * w2 * w3
+    product = w1 * w2 * w3
+    numerator = (
+        d * d
+        - d * (gcd(w1, w2) * w3 + gcd(w1, w3) * w2 + gcd(w2, w3) * w1)
+        + gcd(d, w1) * w2 * w3
+        + gcd(d, w2) * w1 * w3
+        + gcd(d, w3) * w1 * w2
+        - product
+    )
+    genus, remainder = divmod(numerator, 2 * product)
+    if remainder or genus < 0:
+        return Fraction(numerator, 2 * product)
+    return genus
+
+
 class WeightSystem:
     """Ordered positive weights plus a positive integer degree.
 
@@ -77,22 +104,12 @@ class WeightSystem:
         return sum(self.weights)
 
     def genus(self) -> int:
-        """Genus of the curve cut out by the weight system.
+        """Genus of the curve cut out by the weight system, by ``genus_formula``.
 
-        For weights (w_1, w_2, w_3) and degree d the formula is
-
-            1/2 * ( d^2 / (w_1 w_2 w_3)
-                    - d * sum_{i<j} gcd(w_i, w_j) / (w_i w_j)
-                    + sum_i gcd(d, w_i) / w_i
-                    - 1 )
-
-        which reduces to the classical plane-curve count (d-1)(d-2)/2 when
-        all weights are 1.  The formula presumes the circle action is
-        effective, so weights with a common factor are rejected: the
-        caller should divide it out of both the weights and the degree
-        (which leaves the ratios, hence the divisor, unchanged).  A
-        fractional or negative value raises ``NotASmoothCurveError``; it is
-        never rounded away.
+        Weights with a common factor, outside the formula's effective circle
+        action, raise ``InputError``: divide it out of weights and degree,
+        which keeps the ratios and so the divisor.  A fractional or negative
+        value raises ``NotASmoothCurveError``; it is never rounded away.
         """
         if self.n != 3:
             raise InputError("the genus formula is defined for exactly three weights")
@@ -102,23 +119,11 @@ class WeightSystem:
                 f"weights of {self} share a common factor; rescale to the "
                 "primitive weight system, which has the same link"
             )
-        d = self.degree
-        # cleared of denominators: every term below is the formula term
-        # times 2 * w1 * w2 * w3
-        product = w1 * w2 * w3
-        numerator = (
-            d * d
-            - d * (gcd(w1, w2) * w3 + gcd(w1, w3) * w2 + gcd(w2, w3) * w1)
-            + gcd(d, w1) * w2 * w3
-            + gcd(d, w2) * w1 * w3
-            + gcd(d, w3) * w1 * w2
-            - product
-        )
-        genus, remainder = divmod(numerator, 2 * product)
-        if remainder or genus < 0:
+        genus = genus_formula(w1, w2, w3, self.degree)
+        if not isinstance(genus, int):
             raise NotASmoothCurveError(
-                lambda: f"genus formula gives {_printable(Fraction(numerator, 2 * product))} "
-                f"for {self}; no quasi-smooth curve has these weights"
+                f"genus formula gives {_printable(genus)} for {self}; "
+                "no quasi-smooth curve has these weights"
             )
         return genus
 

@@ -15,8 +15,11 @@ def plant_cover_fault(monkeypatch):
     ``"whlink.cover"`` for ``build_cover`` or ``"whlink.verify"`` for the sweep.
     """
 
+    def wrong(div, k):
+        return cover_divisor(div, k) + lam(k)
+
     def plant(module):
-        monkeypatch.setattr(f"{module}.cover_divisor", lambda div, k: cover_divisor(div, k) + lam(k))
+        monkeypatch.setattr(f"{module}.cover_divisor", wrong)
 
     return plant
 

@@ -70,8 +70,8 @@ def test_link_json_poincare(capsys):
 @pytest.mark.parametrize(
     "weights, degree, lines",
     [
-        # the trefoil knot: a circle, whose reduced H_0 vanishes
-        ("3,2", "6", ["  b0 = 0", "  |H_0| = Delta(1) = 1"]),
+        # the trefoil knot, one circle: the coefficient sum is b0 - 1, and H_0 is free
+        ("3,2", "6", ["  b0 = 1"]),
         # the Poincare sphere, a homology 3-sphere
         ("15,10,6", "30", ["  b1 = 0", "  |H_1| = Delta(1) = 1"]),
         ("1,2,3", "7", ["  b1 = 2"]),
@@ -79,6 +79,8 @@ def test_link_json_poincare(capsys):
         # the 7-dimensional links of a quadric, H_3 = Z/2, and of a cubic
         ("1,1,1,1,1", "2", ["  b3 = 0", "  |H_3| = Delta(1) = 2"]),
         ("1,1,1,1,1", "3", ["  b3 = 10"]),
+        # x^3 + y^3, three lines through the origin: three circles
+        ("1,1", "3", ["  b0 = 3"]),
     ],
 )
 def test_link_text_labels_homology_by_dimension(capsys, weights, degree, lines):
@@ -401,7 +403,10 @@ _BP14 = (2, 4, 8, 16, 32, 64, 3, 9, 27, 81, 5, 25, 7, 11)
         # a divisor coefficient of about d^39, 4680 digits
         (["link", "--weights", ",".join(["1"] * 40), "--degree", str(10**120 + 1)], "digits"),
         # the cover degree k d has about 8580 digits
-        (["cover", "--weights", f"1,1,{_D4290}", "--degree", str(_D4290), "-k", str(_D4290 + 1)], "digits"),
+        (
+            ["cover", "--weights", f"1,1,{_D4290}", "--degree", str(_D4290), "-k", str(_D4290 + 1)],
+            "digits",
+        ),
         # genus 49985001: the digit bound must come before the order law,
         # which would spend minutes forming k^(2g) of about 1.2e9 digits
         (["cover", "--weights", "1,1,1", "--degree", "10000", "-k", "1000000000001"], "digits"),

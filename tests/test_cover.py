@@ -22,15 +22,18 @@ CUBIC = WeightSystem((1, 1, 1), 3)
 
 def test_cover_weights_cubic():
     assert cover_weights(CUBIC, 2) == WeightSystem((3, 2, 2, 2), 6)
+    # the one constructor serves diagnose_cover too: build_cover asks coprimality
+    assert cover_weights(CUBIC, 3) == WeightSystem((3, 3, 3, 3), 9)
 
 
 def test_cover_weights_family_member():
     assert cover_weights(WeightSystem((1, 2, 3), 7), 2) == WeightSystem((7, 2, 4, 6), 14)
 
 
-def test_cover_weights_rejects_shared_factor():
-    with pytest.raises(CoprimalityError):
-        cover_weights(CUBIC, 3)
+def test_build_cover_rejects_shared_factor():
+    with pytest.raises(CoprimalityError) as excinfo:
+        build_cover(CUBIC, 3)
+    assert str(excinfo.value) == "cover exponent 3 must be coprime to the degree 3"
 
 
 def test_cover_weights_rejects_small_k():

@@ -1,11 +1,14 @@
 """Unit tests for realization, the prime family, and Smale enumeration."""
 
+from math import gcd
+
 import pytest
 
 from whlink import (
     CoprimalityError,
     FamilyDomainError,
     InputError,
+    NotASmoothCurveError,
     WeightSystem,
     factorize,
     family_member,
@@ -268,6 +271,24 @@ def test_search_matches_filtered_grid():
         expected = [ws for ws, g, _div in grid if g == target]
         assert search_weight_systems(target, 14) == expected
         assert all(g == target for _ws, g, _div in iter_integral_genus_systems(14, target))
+
+
+def test_scan_agrees_with_weight_system_genus():
+    # the scan reads the genus formula on plain ints; it must yield a sorted
+    # primitive triple exactly when WeightSystem.genus accepts it, with its genus
+    scanned = {ws.weights + (ws.degree,): g for ws, g, _div in iter_integral_genus_systems(30)}
+    expected = {}
+    for d in range(1, 31):
+        for w1 in range(1, d + 1):
+            for w2 in range(w1, d + 1):
+                for w3 in range(w2, d + 1):
+                    if gcd(w1, w2, w3) == 1:
+                        try:
+                            expected[w1, w2, w3, d] = WeightSystem((w1, w2, w3), d).genus()
+                        except NotASmoothCurveError:
+                            pass
+    assert len(expected) == 4587
+    assert scanned == expected
 
 
 def test_every_search_hit_has_a_link():

@@ -45,9 +45,11 @@ def test_genus_classical_degeneration():
 
 
 def test_genus_rejects_fractional_value():
-    # no quasi-smooth curve: the formula gives -1/3
-    with pytest.raises(NotASmoothCurveError, match=r"gives -1/3 for w=\(2,3,5; d=7\)"):
+    # no quasi-smooth curve: the formula gives -1/3; the message is a plain
+    # string, formatted when raised
+    with pytest.raises(NotASmoothCurveError, match=r"gives -1/3 for w=\(2,3,5; d=7\)") as excinfo:
         WeightSystem((2, 3, 5), 7).genus()
+    assert type(excinfo.value.args[0]) is str
 
 
 def test_genus_rejects_wrong_arity():
