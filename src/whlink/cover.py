@@ -35,7 +35,6 @@ from .errors import (
 from .invariants import (
     LinkInvariants,
     invariants_from_divisor,
-    link_divisor,
     link_invariants,
     milnor_orlik_divisor,
 )
@@ -151,10 +150,11 @@ def diagnose_cover(base: WeightSystem, k: int) -> LinkInvariants:
     """Invariant record of z_0^k over a base without the coprimality hypothesis.
 
     The base passes ``link_invariants``, the gate ``build_cover`` asks of it,
-    and the cover system passes ``link_divisor``.  Nothing more is asserted:
+    and the record is ``link_invariants`` of the cover system, whose four
+    weights give no genus and so no duality check.  Nothing more is asserted:
     with gcd(d, k) > 1 the cover need not be a rational homology sphere, so
     the record may carry a positive multiplicity and no torsion order.
     """
     system = cover_weights(base, k)
     link_invariants(base)
-    return invariants_from_divisor(system, link_divisor(system))
+    return link_invariants(system)

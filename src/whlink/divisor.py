@@ -11,12 +11,13 @@ combination sum_j c_j lam(j) encodes the rational function
 prod_j (t^j - 1)^{c_j}; link invariants downstream are read off that
 encoding without ever expanding the polynomial unless asked to.
 
-Coefficients are ints and nothing else, so a fractional divisor cannot be
-represented: the Milnor-Orlik product of the lam(u)/v - 1, whose factors
-carry denominators, is built outside the ring, see
-``invariants.milnor_orlik_divisor``.  Canonical form prunes zero
-coefficients immediately after every operation; two divisors are equal
-exactly when their canonical term maps are equal.
+Divisors are built from term maps {j: c_j}, the form ``items`` and
+``as_json`` print; the class offers the product, equality and read-outs, no
+sum or integer coercion.  Coefficients are ints only, so a fractional
+divisor cannot be represented: the Milnor-Orlik product of the lam(u)/v - 1,
+whose factors carry denominators, is built outside the ring, see
+``invariants.milnor_orlik_divisor``.  Zero coefficients are pruned, so two
+divisors are equal exactly when their term maps are equal.
 """
 
 from __future__ import annotations
@@ -35,8 +36,8 @@ def _normalized(terms: dict) -> dict:
 class OrlikDivisor:
     """A finitely supported integer combination of the generators lam(j).
 
-    Instances are immutable; every operation returns a fresh canonical
-    divisor and is safe to share across threads.
+    Built from a term map {j: c_j} and immutable, so safe to share across
+    threads; equality with anything but a divisor is False.
     """
 
     __slots__ = ("_terms",)
@@ -50,8 +51,8 @@ class OrlikDivisor:
 
     @classmethod
     def _raw(cls, terms: dict) -> "OrlikDivisor":
-        # trusted fast path for results of arithmetic: indices and
-        # coefficients are already valid, only zero pruning is needed
+        # trusted fast path for products and program-built term maps:
+        # indices and coefficients are valid, only zero pruning is needed
         self = object.__new__(cls)
         object.__setattr__(self, "_terms", _normalized(terms))
         return self
@@ -62,8 +63,7 @@ class OrlikDivisor:
         raise AttributeError("OrlikDivisor is immutable")
 
     def __eq__(self, other):
-        other = self._coerce(other)
-        if other is None:
+        if not isinstance(other, OrlikDivisor):
             return NotImplemented
         return self._terms == other._terms
 
@@ -94,44 +94,9 @@ class OrlikDivisor:
             parts.append(f"{sign} {body}" if parts else (f"-{body}" if c < 0 else body))
         return " ".join(parts)
 
-    # -- ring operations ---------------------------------------------------
-
-    def _coerce(self, other):
-        if isinstance(other, OrlikDivisor):
-            return other
-        if isinstance(other, int) and not isinstance(other, bool):
-            return OrlikDivisor({1: other})
-        return None
-
-    def __add__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        acc = dict(self._terms)
-        for j, c in other._terms.items():
-            acc[j] = acc.get(j, 0) + c
-        return OrlikDivisor._raw(acc)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return OrlikDivisor._raw({j: -c for j, c in self._terms.items()})
-
-    def __sub__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return self + (-other)
-
-    def __rsub__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return other + (-self)
+    # -- ring product ------------------------------------------------------
 
     def __mul__(self, other):
-        if isinstance(other, int) and not isinstance(other, bool):
-            return OrlikDivisor._raw({j: c * other for j, c in self._terms.items()})
         if not isinstance(other, OrlikDivisor):
             return NotImplemented
         acc = {}
@@ -141,8 +106,6 @@ class OrlikDivisor:
                 j = a * b // g
                 acc[j] = acc.get(j, 0) + ca * cb * g
         return OrlikDivisor._raw(acc)
-
-    __rmul__ = __mul__
 
     # -- invariants of the encoded product ---------------------------------
 

@@ -3,7 +3,7 @@
 import pytest
 
 from whlink.cover import cover_divisor
-from whlink.divisor import lam
+from whlink.divisor import OrlikDivisor
 from whlink.invariants import oracle_expand
 
 
@@ -16,7 +16,9 @@ def plant_cover_fault(monkeypatch):
     """
 
     def wrong(div, k):
-        return cover_divisor(div, k) + lam(k)
+        terms = dict(cover_divisor(div, k).items())
+        terms[k] = terms.get(k, 0) + 1
+        return OrlikDivisor(terms)
 
     def plant(module):
         monkeypatch.setattr(f"{module}.cover_divisor", wrong)

@@ -25,23 +25,53 @@ def run_json(capsys, *argv):
     return code, json.loads(out) if out else None, err
 
 
+ROOT = pathlib.Path(__file__).parent.parent
+
+
+def fresh_interpreter(*argv):
+    """Run ``python *argv`` in a separate interpreter that imports whlink from src."""
+    path = os.environ.get("PYTHONPATH")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(ROOT / "src"), path])))
+    return subprocess.run([sys.executable, *argv], capture_output=True, env=env, timeout=60)
+
+
 def test_python_dash_m_runs_the_entry_point():
     # the process entry points, __main__.py and cli.entry_point, end to
     # end: stdout and exit code in a separate interpreter
-    root = pathlib.Path(__file__).parent.parent
-    path = os.environ.get("PYTHONPATH")
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(root / "src"), path])))
-
     def whlink(*argv):
-        argv = [sys.executable, "-m", "whlink", *argv, "--format", "json"]
-        return subprocess.run(argv, capture_output=True, env=env, timeout=60)
+        return fresh_interpreter("-m", "whlink", *argv, "--format", "json")
 
     done = whlink("link", "--weights", "15,10,6", "--degree", "30")
     assert (done.returncode, done.stderr) == (0, b"")
-    assert done.stdout == (root / "tests" / "golden" / "link.json").read_bytes()
+    assert done.stdout == (ROOT / "tests" / "golden" / "link.json").read_bytes()
     done = whlink("link", "--weights", "1,4,6", "--degree", "8")
     assert (done.returncode, done.stdout) == (1, b"")
     assert json.loads(done.stderr)["class"] == "NotASmoothCurveError"
+
+
+# imports whlink and runs a verify sweep after a snapshot of sys.modules, and
+# prints the top-level modules that came in and are neither whlink nor in the
+# standard library
+_FOREIGN_IMPORTS = """
+import contextlib, io, json, sys
+before = set(sys.modules)
+with contextlib.redirect_stdout(io.StringIO()):
+    import whlink
+    from whlink import cli
+    code = cli.main(["verify", "--max-degree", "6", "--format", "json"])
+loaded = {name.partition(".")[0] for name in set(sys.modules) - before}
+foreign = loaded - set(sys.stdlib_module_names) - {"whlink"}
+print(json.dumps({"code": code, "foreign": sorted(foreign), "whlink": "whlink" in loaded}))
+"""
+
+
+def test_runtime_needs_only_the_standard_library():
+    # the README promises no runtime dependencies outside the standard
+    # library; the test extras are installed here, so a stray import of one
+    # would succeed and show up only in this list
+    done = fresh_interpreter("-c", _FOREIGN_IMPORTS)
+    assert (done.returncode, done.stderr) == (0, b"")
+    assert json.loads(done.stdout) == {"code": 0, "foreign": [], "whlink": True}
 
 
 def test_genus_text(capsys):

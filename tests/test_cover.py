@@ -7,6 +7,7 @@ from whlink import (
     CrossCheckError,
     InputError,
     NotASmoothCurveError,
+    OrlikDivisor,
     TwoPathMismatchError,
     WeightSystem,
     build_cover,
@@ -47,22 +48,22 @@ def test_cover_weights_rejects_four_variables():
 
 
 def test_cover_divisor_cubic():
-    assert cover_divisor(3 * lam(3) - 1, 2) == 3 * lam(6) - 3 * lam(3) - lam(2) + 1
+    expected = OrlikDivisor({6: 3, 3: -3, 2: -1, 1: 1})
+    assert cover_divisor(OrlikDivisor({3: 3, 1: -1}), 2) == expected
 
 
 def test_cover_divisor_p7():
-    assert cover_divisor(3 * lam(7) - 1, 2) == 3 * lam(14) - 3 * lam(7) - lam(2) + 1
+    expected = OrlikDivisor({14: 3, 7: -3, 2: -1, 1: 1})
+    assert cover_divisor(OrlikDivisor({7: 3, 1: -1}), 2) == expected
 
 
 @pytest.mark.parametrize("k", [1, True, 0, -3, 2.0])
 def test_cover_divisor_rejects_exponents_below_two(k):
     with pytest.raises(InputError, match="greater than 1"):
-        cover_divisor(3 * lam(3) - 1, k)
+        cover_divisor(OrlikDivisor({3: 3, 1: -1}), k)
 
 
 def test_cover_divisor_annihilates_zero():
-    from whlink import OrlikDivisor
-
     assert cover_divisor(OrlikDivisor(), 5) == OrlikDivisor()
 
 
@@ -143,7 +144,6 @@ def test_cover_records_read_the_torsion_order_once(monkeypatch):
     # build_cover forms the cover's |H_2| once, in its record, and the
     # order law checks that value
     from whlink import realize
-    from whlink.divisor import OrlikDivisor
 
     calls = []
     value_at_one = OrlikDivisor.reduced_value_at_one
@@ -189,8 +189,6 @@ def test_diagnose_cover_matches_relation_path():
 def test_direct_cover_path_does_not_use_ring_product(monkeypatch):
     # the direct route must not share the divisor ring's product with the
     # lam(k) - 1 route it is checked against
-    from whlink.divisor import OrlikDivisor
-
     cases = [(CUBIC, 2), (WeightSystem((1, 2, 3), 7), 5), (WeightSystem((1, 1, 1), 5), 12)]
     expected = [cover_divisor(milnor_orlik_divisor(ws), k) for ws, k in cases]
 
@@ -198,7 +196,6 @@ def test_direct_cover_path_does_not_use_ring_product(monkeypatch):
         raise AssertionError("OrlikDivisor product called on the direct route")
 
     monkeypatch.setattr(OrlikDivisor, "__mul__", refuse)
-    monkeypatch.setattr(OrlikDivisor, "__rmul__", refuse)
     with pytest.raises(AssertionError):
         lam(2) * lam(3)
     for (ws, k), via_relation in zip(cases, expected):

@@ -1,5 +1,6 @@
 """Property-based tests for the algebraic laws the pipeline leans on."""
 
+from collections import Counter
 from fractions import Fraction
 from math import gcd
 
@@ -37,12 +38,12 @@ def test_lam1_is_identity(d):
 @given(divisors, divisors, divisors)
 @settings(max_examples=60)
 def test_mul_distributes_over_add(a, b, c):
-    assert a * (b + c) == a * b + a * c
-
-
-@given(divisors)
-def test_add_negation_cancels(d):
-    assert d + (-d) == OrlikDivisor()
+    # the ring has no sum: b + c and a b + a c are merged term maps
+    b_plus_c = Counter(dict(b.items()))
+    b_plus_c.update(dict(c.items()))
+    ab_plus_ac = Counter(dict((a * b).items()))
+    ab_plus_ac.update(dict((a * c).items()))
+    assert a * OrlikDivisor(b_plus_c) == OrlikDivisor(ab_plus_ac)
 
 
 @given(divisors)
@@ -53,14 +54,19 @@ def test_canonical_idempotence(d):
 
 @given(divisors, st.integers(min_value=2, max_value=50))
 def test_cover_divisor_is_the_lam_k_minus_one_product(d, k):
-    assert cover_divisor(d, k) == (lam(k) - 1) * d
+    # lam(k) d - lam(1) d, the difference merged term by term
+    expected = Counter(dict((lam(k) * d).items()))
+    expected.subtract(dict(d.items()))
+    assert cover_divisor(d, k) == OrlikDivisor(expected)
 
 
 @given(divisors, divisors)
 def test_reduced_value_multiplicative(a, b):
+    a_plus_b = Counter(dict(a.items()))
+    a_plus_b.update(dict(b.items()))
     assert (
         a.reduced_value_at_one() * b.reduced_value_at_one()
-        == (a + b).reduced_value_at_one()
+        == OrlikDivisor(a_plus_b).reduced_value_at_one()
     )
 
 
@@ -74,7 +80,7 @@ lattice_divisors = st.dictionaries(
 
 
 @given(st.one_of(divisors, lattice_divisors))
-@example(lam(12) - lam(4) - lam(6) + lam(1))  # fails only at order 2 = gcd(4, 6)
+@example(OrlikDivisor({12: 1, 4: -1, 6: -1, 1: 1}))  # fails only at order 2 = gcd(4, 6)
 @settings(max_examples=600)
 def test_encodes_polynomial_matches_definition(d):
     # every root-of-unity multiplicity is non-negative: for each order e up

@@ -155,6 +155,18 @@ def test_build_cover_raises_the_texts_verify_records(plant_cover_fault):
     assert str(excinfo.value) == "w=(1,1,1; d=3), k=2: b_2 = 1, expected 0"
 
 
+def test_a_direct_route_without_a_divisor_disagrees(monkeypatch):
+    # a direct route that finds no integral divisor compares unequal to the
+    # lam(k) - 1 product: None against a divisor is False, not an error
+    monkeypatch.setattr("whlink.cover.milnor_orlik_divisor", lambda ws: None)
+    text = "w=(1,1,1; d=3), k=2: cover divisor paths disagree"
+    with pytest.raises(TwoPathMismatchError) as excinfo:
+        build_cover(CUBIC, 2)
+    assert str(excinfo.value) == text
+    check = check_cover_two_path([CUBIC_ROW], 2)
+    assert (check.checked, check.failed, check.failures) == (3, 1, [text])
+
+
 def test_link_invariants_raises_the_duality_text_verify_records(monkeypatch):
     monkeypatch.setattr(type(CUBIC), "genus", lambda self: 2)
     with pytest.raises(CrossCheckError) as excinfo:
