@@ -69,10 +69,17 @@ def milnor_orlik_divisor(ws: WeightSystem) -> OrlikDivisor | None:
     an actual quasi-smooth polynomial; for formal weight systems that no
     such polynomial has, such as w=(1,4,6), d=8, a coefficient leaves a
     remainder and the result is None.
+
+    A weight equal to d gives the ratio 1 / 1 and the factor lam(1) - 1 = 0,
+    so such a system, a linear cone, returns the zero divisor at once,
+    whatever its other ratios: the expansion would cancel to zero anyway.
     """
+    ratios = ws.reduced_ratios()
+    if (1, 1) in ratios:
+        return OrlikDivisor._raw({})
     terms = {1: 1}
     denominator = 1
-    for u, v in ws.reduced_ratios():
+    for u, v in ratios:
         expanded = {}
         for index, c in terms.items():
             g = gcd(index, u)

@@ -3,7 +3,8 @@
 Each case runs ``whlink.cli.main`` in-process in both output formats and
 compares stdout byte for byte with ``tests/golden/<case>.json`` or
 ``tests/golden/<case>.txt``, together with the exit code and an empty
-stderr.  Both forms of each optional README flag are covered, and
+stderr.  Both forms of each optional README flag are covered, one linear
+cone (a weight equal to the degree, so the divisor is zero) is added, and
 ``verify`` runs at ``--max-degree 12`` instead of the default bounds, and
 again at ``--max-degree 24``, the bounds the benchmark's sweep times.
 
@@ -26,6 +27,7 @@ FORMATS = {"json": "json", "text": "txt"}
 CASES = {
     "genus": ["genus", "--weights", "1,2,3", "--degree", "7"],
     "link": ["link", "--weights", "15,10,6", "--degree", "30"],
+    "link_cone": ["link", "--weights", "3,4,6", "--degree", "6"],
     "cover": ["cover", "--weights", "1,1,1", "--degree", "3", "-k", "2"],
     "cover_skip_direct_path": [
         "cover", "--weights", "1,1,1", "--degree", "3", "-k", "2", "--skip-direct-path",

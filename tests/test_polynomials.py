@@ -1,5 +1,8 @@
 """Unit tests for the integer polynomial helpers."""
 
+import math
+import random
+
 import pytest
 
 from whlink import NotAPolynomialError
@@ -94,3 +97,32 @@ def test_shifted_coefficient_agrees_with_division():
         quot, rem = poly.long_divmod(quot, [-1, 1])
         assert rem == []
     assert poly.shifted_coefficient(p, 3) == sum(quot)
+
+
+def binomial_sum(p, m):
+    return sum(c * math.comb(i, m) for i, c in enumerate(p))
+
+
+@pytest.mark.parametrize("excess", [-1, 0, 1, 15, 16, 17, 33])
+def test_shifted_coefficient_matches_binomial_sum(excess):
+    # len(p) - m on both sides of the 16-index blocks, with zero, negative
+    # and ~500-digit coefficients
+    rng = random.Random(excess)
+    big = 10**500
+    for m in (0, 1, 2, 15, 16, 40):
+        for _ in range(10):
+            p = [
+                rng.choice((0, rng.randint(-9, 9), rng.randint(-big, big)))
+                for _ in range(max(0, m + excess))
+            ]
+            assert poly.shifted_coefficient(p, m) == binomial_sum(p, m)
+
+
+def test_shifted_coefficient_edge_cases():
+    assert poly.shifted_coefficient([], 0) == 0
+    assert poly.shifted_coefficient([], 3) == 0
+    assert poly.shifted_coefficient([4, -1, 2], 3) == 0  # len(p) <= m
+    assert poly.shifted_coefficient([4, -1, 2], 0) == 5  # m = 0 is p(1)
+    assert poly.shifted_coefficient([0] * 40, 5) == 0
+    with pytest.raises(ValueError):
+        poly.shifted_coefficient([1, 1], -1)

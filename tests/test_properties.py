@@ -8,7 +8,14 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from whlink import OrlikDivisor, WeightSystem, cover_divisor, lam, milnor_orlik_divisor
+from whlink import (
+    OrlikDivisor,
+    WeightSystem,
+    cover_divisor,
+    cover_weights,
+    lam,
+    milnor_orlik_divisor,
+)
 from whlink import polynomials as poly
 
 divisors = st.dictionaries(
@@ -155,6 +162,9 @@ def assert_matches_rational_product(ws):
         ((2, 3), 6, {6: 1, 3: -1, 2: -1, 1: 1}),
         # five weights, one with v = 2
         ((1, 1, 1, 1, 2), 3, {3: 3, 1: -1}),
+        # 6 / 4 = 3 / 2 is not integral, and with no weight equal to d
+        # nothing cancels it: (lam(2) - 1)(lam(3) / 2 - 1) is fractional
+        ((3, 4), 6, None),
     ],
 )
 def test_milnor_orlik_pinned_systems(weights, degree, expected):
@@ -163,6 +173,27 @@ def test_milnor_orlik_pinned_systems(weights, degree, expected):
         assert reference is None and product
     else:
         assert dict(reference.items()) == expected
+
+
+@pytest.mark.parametrize(
+    "weights, degree",
+    [
+        ((7, 7), 7),
+        ((1, 2, 5), 5),
+        ((5, 1, 2), 5),
+        ((2, 3, 4, 12), 12),
+        # 6 / 4 = 3 / 2 is not integral, yet lam(1) - 1 = 0 kills the product
+        ((3, 4, 6), 6),
+    ],
+)
+def test_linear_cone_divisor_is_zero(weights, degree):
+    cone = WeightSystem(weights, degree)
+    reference, _product = assert_matches_rational_product(cone)
+    assert reference == OrlikDivisor({})
+    if len(weights) == 3:
+        for k in range(2, 13):
+            cover, _product = assert_matches_rational_product(cover_weights(cone, k))
+            assert cover == OrlikDivisor({})
 
 
 def repeated_product(base, n):
