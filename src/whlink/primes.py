@@ -1,4 +1,4 @@
-"""Deterministic primality and the family primes congruent to 3 mod 4.
+"""Deterministic primality, factorization, and the family primes 3 mod 4.
 
 A certificate-producing tool cannot afford probabilistic primality, so
 ``is_prime`` runs a fixed strong-pseudoprime witness battery, the first 13
@@ -7,15 +7,30 @@ it correct for every n below 3317044064679887385961981, the least strong
 pseudoprime to all 13 bases; the first 12 alone already fail at
 318665857834031151167461 = 399165290221 * 798330580441.  Larger n is
 rejected outright rather than answered with less than certainty.
+
+``factorize`` splits with Pollard's rho in Brent's form (BIT 20, 1980)
+wherever ``is_prime`` can certify the pieces, and trial-divides up to 10**6
+where it cannot; either way a number is accepted or rejected by the same
+rule, read off the part of it that has no prime factor below 10**6.
 """
 
 from __future__ import annotations
 
-from math import isqrt
+from itertools import pairwise
+from math import gcd, isqrt, prod
 
-from .errors import InputError, require_int
+from .errors import ConsistencyError, InputError, require_int
 
 _TRIAL_LIMIT = 10**6
+# factorize trial-divides below this before anything else: every k up to
+# 2**20 is done there
+_SMALL_TRIAL_LIMIT = 2**10
+_RHO_CONSTANTS = (1, 3)
+# pairs Brent's rho compares per constant: a factor below 10**6 takes about
+# 1300, and a piece rho cannot split costs both constants about a tenth of
+# the trial division that follows
+_RHO_BUDGET = 2**12
+_RHO_BATCH = 128
 # largest limit primes_4l_minus_1 sieves up to: a 10 MB flag table
 MAX_SIEVE_LIMIT = 10**7
 _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
@@ -86,17 +101,15 @@ def family_prime_candidates():
         p += 4
 
 
-def factorize(k: int) -> list:
-    """Prime factorization as ascending (prime, exponent) pairs.
+def _trial_divide(rest: int, f: int, limit: int):
+    """Divide f, then each odd number after it below ``limit``, out of ``rest``.
 
-    Trial division up to 10**6 with a primality test on the cofactor; a
-    composite cofactor past that bound is out of supported range.
+    Stops early once f * f > rest, when what is left is 1 or a prime; that
+    prime is then a factor found too.  Returns the (factor, exponent) pairs
+    found and what is left, 1 after an early stop.
     """
-    require_int(k, 1, "factorization is defined for positive integers")
     out = []
-    rest = k
-    f = 2
-    while f * f <= rest and f < _TRIAL_LIMIT:
+    while f * f <= rest and f < limit:
         if rest % f == 0:
             e = 0
             while rest % f == 0:
@@ -104,9 +117,88 @@ def factorize(k: int) -> list:
                 e += 1
             out.append((f, e))
         f += 1 if f == 2 else 2
-    if rest > 1:
-        if rest < _TRIAL_LIMIT * _TRIAL_LIMIT or is_prime(rest):
-            out.append((rest, 1))
+    if f * f > rest > 1:
+        out.append((rest, 1))
+        rest = 1
+    return out, rest
+
+
+def _brent_rho(n: int):
+    """A proper divisor of the odd composite n, or None if rho finds none.
+
+    Brent's cycle search on x -> x^2 + c from x = 2, for c = 1 then 3, with
+    the gcd taken once per ``_RHO_BATCH`` steps; each c compares at most
+    ``_RHO_BUDGET`` pairs before giving up.
+    """
+    for c in _RHO_CONSTANTS:
+        y, r, q, g = 2, 1, 1, 1
+        while g == 1 and r < _RHO_BUDGET:
+            x = y
+            for _ in range(r):
+                y = (y * y + c) % n
+            done = 0
+            while done < r and g == 1:
+                ys = y
+                for _ in range(min(_RHO_BATCH, r - done)):
+                    y = (y * y + c) % n
+                    q = q * (x - y) % n
+                g = gcd(q, n)
+                done += _RHO_BATCH
+            r *= 2
+        if g == n:
+            # the batch overshot: replay it one step at a time
+            g = 1
+            while g == 1:
+                ys = (ys * ys + c) % n
+                g = gcd(x - ys, n)
+        if 1 < g < n:
+            return g
+    return None
+
+
+def factorize(k: int) -> list:
+    """Prime factorization as ascending (prime, exponent) pairs.
+
+    Trial division below 2**10 first; what is left is split by Brent's rho
+    into pieces ``is_prime`` certifies, and a piece rho cannot split, or one
+    past ``is_prime``'s range, is trial-divided up to 10**6.  Let r be k
+    with every prime factor below 10**6 divided out: k is accepted iff
+    r = 1, r < 10**12 (so r is prime) or ``is_prime(r)``.  A composite r is
+    rejected as out of range, and an r past ``is_prime``'s range gets its
+    error.  The answer is checked to multiply back to k before it is
+    returned; ``ConsistencyError`` if it does not.
+    """
+    require_int(k, 1, "factorization is defined for positive integers")
+    found, rest = _trial_divide(k, 2, _SMALL_TRIAL_LIMIT)
+    pieces = [rest] if rest > 1 else []
+    while pieces:
+        n = pieces.pop()
+        certifiable = n < _MR_PROVEN_BOUND
+        if certifiable and is_prime(n):
+            found.append((n, 1))
+            continue
+        d = _brent_rho(n) if certifiable else None
+        if d is not None:
+            pieces += (d, n // d)
+            continue
+        # every prime below 2**10 is already out of n
+        more, n = _trial_divide(n, _SMALL_TRIAL_LIMIT + 1, _TRIAL_LIMIT)
+        found += more
+        if n > 1:
+            found.append((n, 1))
+    exponents = {}
+    r = 1
+    for p, e in found:
+        if p >= _TRIAL_LIMIT:
+            r *= p**e
         else:
-            raise InputError(f"cannot factor {k}: cofactor {rest} is out of range")
+            exponents[p] = exponents.get(p, 0) + e
+    out = sorted(exponents.items())
+    if r > 1:
+        if r < _TRIAL_LIMIT * _TRIAL_LIMIT or is_prime(r):
+            out.append((r, 1))
+        else:
+            raise InputError(f"cannot factor {k}: cofactor {r} is out of range")
+    if prod(p**e for p, e in out) != k or any(a >= b for (a, _), (b, _) in pairwise(out)):
+        raise ConsistencyError(f"factorizing {k} gave {out}, not ascending primes with product {k}")
     return out

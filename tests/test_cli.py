@@ -311,6 +311,20 @@ def test_internal_failure_maps_to_exit_2(capsys, monkeypatch):
         )
 
 
+def test_smale_enum_with_a_wrong_splitter_exits_2(capsys, monkeypatch):
+    # 1031 * 1033 gets past the first trial division to the splitter, which
+    # now answers 1039, a prime that does not divide it
+    from whlink import primes
+
+    k, split = 1031 * 1033, primes._brent_rho
+    monkeypatch.setattr(primes, "_brent_rho", lambda n: 1039 if n == k else split(n))
+    for fmt in ("json", "text"):
+        code, out, err = run(capsys, "smale-enum", str(k), "--format", fmt)
+        assert code == 2
+        assert out == ""
+        assert_error_line(fmt, err, 2, f"factorizing {k} gave", errors.ConsistencyError)
+
+
 def test_verify_failure_is_an_error_line(capsys, monkeypatch):
     from whlink.verify import PropertyCheck, VerificationReport
 
