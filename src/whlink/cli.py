@@ -18,6 +18,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from functools import cache
 
 from .cover import build_cover
 from .errors import CrossCheckError, InputError, WhlinkError
@@ -159,7 +160,9 @@ def _cmd_verify(args) -> tuple:
     return report.as_json(), write_text
 
 
+@cache
 def build_parser() -> _Parser:
+    """The one parser ``main`` uses, built on first call."""
     parser = _Parser(
         prog="whlink",
         description=(

@@ -11,7 +11,7 @@ from math import lcm, prod
 import pytest
 
 from whlink import errors
-from whlink.cli import main
+from whlink.cli import build_parser, main
 
 
 def run(capsys, *argv):
@@ -47,6 +47,20 @@ def test_python_dash_m_runs_the_entry_point():
     done = whlink("link", "--weights", "1,4,6", "--degree", "8")
     assert (done.returncode, done.stdout) == (1, b"")
     assert json.loads(done.stderr)["class"] == "NotASmoothCurveError"
+
+
+def test_one_parser_serves_every_call(capsys, monkeypatch):
+    # main reuses one parser: a usage error, then a query, in this process
+    # must print what each prints in an interpreter of its own
+    assert build_parser() is build_parser()
+    monkeypatch.setenv("COLUMNS", "80")  # usage lines wrap at the terminal width
+    for argv in [
+        ("link", "--weights", "1,2,3", "--degree", "seven"),
+        ("link", "--weights", "15,10,6", "--degree", "30", "--format", "json"),
+    ]:
+        code, out, err = run(capsys, *argv)
+        done = fresh_interpreter("-m", "whlink", *argv)
+        assert (code, out.encode(), err.encode()) == (done.returncode, done.stdout, done.stderr)
 
 
 # imports whlink and runs a verify sweep after a snapshot of sys.modules, and

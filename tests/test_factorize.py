@@ -1,50 +1,43 @@
-"""Factorization against the plain trial-division factorizer it replaced.
+"""Factorization against the rule README states for it, computed by sympy.
 
-``trial_division_factorize`` is that factorizer, kept verbatim as the
-reference: ``factorize`` must give the same pairs, or raise the same error
-class with the same message, on every input.
+Let r be the product of k's prime powers at or past 10**6.  ``factorize``
+accepts k iff r = 1, r < 10**12, or r is a prime below psi_13, and then
+returns k's prime factorization; an r at or past psi_13 gets ``is_prime``'s
+range error, and any other r is rejected as an out-of-range cofactor.
+``stated_rule`` computes that outcome from ``sympy.factorint`` and
+``sympy.isprime``, which share no code with whlink, and every test here
+requires ``factorize`` to give exactly the same pairs, or to raise the same
+error class with the same message.  ``test_planted_faults_are_reported``
+shows that the comparison can fail: three wrong factorizers each depart
+from the rule on the inputs used here.
 """
 
 import random
 import time
+from functools import cache
+from math import prod
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from sympy import nextprime, prevprime
+from sympy import factorint, isprime, nextprime, prevprime
 
-from whlink import InputError, factorize, is_prime
-from whlink.errors import require_int
+from whlink import InputError, factorize, primes
 
 _TRIAL_LIMIT = 10**6
 PSI_12 = 318665857834031151167461
 PSI_13 = 3317044064679887385961981
 
 
-def trial_division_factorize(k: int) -> list:
-    """Prime factorization as ascending (prime, exponent) pairs.
-
-    Trial division up to 10**6 with a primality test on the cofactor; a
-    composite cofactor past that bound is out of supported range.
-    """
-    require_int(k, 1, "factorization is defined for positive integers")
-    out = []
-    rest = k
-    f = 2
-    while f * f <= rest and f < _TRIAL_LIMIT:
-        if rest % f == 0:
-            e = 0
-            while rest % f == 0:
-                rest //= f
-                e += 1
-            out.append((f, e))
-        f += 1 if f == 2 else 2
-    if rest > 1:
-        if rest < _TRIAL_LIMIT * _TRIAL_LIMIT or is_prime(rest):
-            out.append((rest, 1))
-        else:
-            raise InputError(f"cannot factor {k}: cofactor {rest} is out of range")
-    return out
+def stated_rule(k: int):
+    """What ``factorize(k)`` must give: its pairs, or (error class, message)."""
+    pairs = sorted(factorint(k).items())
+    r = prod(p**e for p, e in pairs if p >= _TRIAL_LIMIT)
+    if r < _TRIAL_LIMIT * _TRIAL_LIMIT or (r < PSI_13 and isprime(r)):
+        return pairs
+    if r >= PSI_13:
+        return InputError, f"{r} exceeds the deterministically proven primality range"
+    return InputError, f"cannot factor {k}: cofactor {r} is out of range"
 
 
 def outcome(factorizer, k):
@@ -54,57 +47,69 @@ def outcome(factorizer, k):
         return type(exc), str(exc)
 
 
-def assert_same_as_trial_division(ks):
-    for k in ks:
-        assert outcome(factorize, k) == outcome(trial_division_factorize, k), k
+def mismatches(ks):
+    """The k in ``ks`` on which ``primes.factorize`` departs from the rule."""
+    return [k for k in ks if outcome(primes.factorize, k) != stated_rule(k)]
 
 
 def random_primes(rng, lo, hi, count):
     return [prevprime(rng.randrange(lo, hi)) for _ in range(count)]
 
 
+@cache
+def semiprimes():
+    # the smaller prime below the trial limit, the larger one past it
+    rng = random.Random(11)
+    ps = random_primes(rng, 5 * 10**5 + 100, 10**6, 300)
+    qs = [nextprime(rng.randrange(10**6, 2 * 10**6 - 100)) for _ in ps]
+    return [p * q for p, q in zip(ps, qs)]
+
+
+@cache
+def prime_powers():
+    # p**2 and p**3 for the first five primes past the trial limit
+    ps = [nextprime(_TRIAL_LIMIT)]
+    while len(ps) < 5:
+        ps.append(nextprime(ps[-1]))
+    return [p**e for p in ps for e in (2, 3)]
+
+
+EDGE_SHAPES = [
+    PSI_12,
+    1031**10,
+    999983 * 1000003 * 1000033,
+    999983 * nextprime(10**30),
+    2 * nextprime(PSI_13),
+    prevprime(10**13) * nextprime(10**7),
+    nextprime(10**13) * prevprime(10**7),
+]
+
+
 def test_every_small_k():
-    assert_same_as_trial_division(range(1, 5001))
+    assert mismatches(range(1, 5001)) == []
 
 
 def test_random_k_below_1e13():
     rng = random.Random(20260917)
-    assert_same_as_trial_division(rng.randrange(1, 10**13) for _ in range(2000))
+    assert mismatches([rng.randrange(1, 10**13) for _ in range(2000)]) == []
 
 
 def test_semiprimes_straddling_the_trial_limit():
-    rng = random.Random(11)
-    ps = random_primes(rng, 5 * 10**5 + 100, 10**6, 300)
-    qs = [nextprime(rng.randrange(10**6, 2 * 10**6 - 100)) for _ in ps]
-    assert_same_as_trial_division(p * q for p, q in zip(ps, qs))
+    assert mismatches(semiprimes()) == []
 
 
 def test_primes_below_1e12():
     rng = random.Random(12)
-    assert_same_as_trial_division(random_primes(rng, 10**11 + 100, 10**12, 300))
+    assert mismatches(random_primes(rng, 10**11 + 100, 10**12, 300)) == []
 
 
 def test_powers_of_primes_past_the_trial_limit():
-    p = _TRIAL_LIMIT
-    for _ in range(5):
-        p = nextprime(p)
-        assert_same_as_trial_division([p**2, p**3])
+    assert mismatches(prime_powers()) == []
 
 
-@pytest.mark.parametrize(
-    "k",
-    [
-        PSI_12,
-        1031**10,
-        999983 * 1000003 * 1000033,
-        999983 * nextprime(10**30),
-        2 * nextprime(PSI_13),
-        prevprime(10**13) * nextprime(10**7),
-        nextprime(10**13) * prevprime(10**7),
-    ],
-)
+@pytest.mark.parametrize("k", EDGE_SHAPES)
 def test_edge_shapes(k):
-    assert_same_as_trial_division([k])
+    assert mismatches([k]) == []
 
 
 def test_composite_cofactor_is_named():
@@ -117,8 +122,31 @@ def test_composite_cofactor_is_named():
 
 @given(st.integers(min_value=1, max_value=10**13 - 1))
 @settings(deadline=None)
-def test_agrees_with_trial_division(k):
-    assert outcome(factorize, k) == outcome(trial_division_factorize, k)
+def test_agrees_with_stated_rule(k):
+    assert outcome(factorize, k) == stated_rule(k)
+
+
+def every_factor_certified(k):
+    # accepts a composite r below psi_13 once it is split into certified
+    # primes, as a rule of "every prime factor certified" would
+    pairs = sorted(factorint(k).items())
+    if prod(p**e for p, e in pairs if p >= _TRIAL_LIMIT) < PSI_13:
+        return pairs
+    return factorize(k)
+
+
+def test_planted_faults_are_reported(monkeypatch):
+    # each wrong factorizer departs from the rule on a test's own inputs
+    with monkeypatch.context() as m:
+        m.setattr(primes, "factorize", every_factor_certified)
+        assert mismatches(prime_powers()) == prime_powers()
+    with monkeypatch.context() as m:
+        m.setattr(primes, "_TRIAL_LIMIT", 10**5)
+        assert mismatches(semiprimes()) == semiprimes()
+    with monkeypatch.context() as m:
+        # is_prime without its range error
+        m.setattr(primes, "_MR_PROVEN_BOUND", 10**100)
+        assert mismatches(EDGE_SHAPES) == [999983 * nextprime(10**30), 2 * nextprime(PSI_13)]
 
 
 def test_trial_division_worst_cases_are_fast():
@@ -126,12 +154,12 @@ def test_trial_division_worst_cases_are_fast():
     # under its 10**6 limit, or a prime just under 10**12
     rng = random.Random(13)
     ps = random_primes(rng, 9 * 10**5 + 100, 10**6, 24)
-    semiprimes = [p * nextprime(rng.randrange(10**6, 2 * 10**6)) for p in ps]
-    primes = random_primes(rng, 9 * 10**11 + 100, 10**12, 24)
+    products = [p * nextprime(rng.randrange(10**6, 2 * 10**6)) for p in ps]
+    large = random_primes(rng, 9 * 10**11 + 100, 10**12, 24)
     start = time.perf_counter()
-    results = [factorize(k) for k in semiprimes + primes]
+    results = [factorize(k) for k in products + large]
     elapsed = time.perf_counter() - start
-    assert results == [[(p, 1), (k // p, 1)] for p, k in zip(ps, semiprimes)] + [
-        [(p, 1)] for p in primes
+    assert results == [[(p, 1), (k // p, 1)] for p, k in zip(ps, products)] + [
+        [(p, 1)] for p in large
     ]
     assert elapsed < 1.0, f"{elapsed:.2f} s"
