@@ -139,20 +139,17 @@ def expansion_check(ws: WeightSystem, div: OrlikDivisor, p: list, value) -> tupl
 def char_poly_from_divisor(div: OrlikDivisor) -> list:
     """Expand prod (t^j - 1)^{c_j} exactly, production route.
 
-    Positive powers are folded in through precomputed binomial rows and
-    negative ones divided out with the shift recurrence, one factor at a
-    time; any remainder aborts with ``NotAPolynomialError``.
+    Positive powers are folded in through precomputed binomial rows, then
+    each negative one is divided out in one call, largest j first to shorten
+    the polynomial soonest; any remainder raises ``NotAPolynomialError``.
     """
     num = [1]
-    negatives = []
     for j, c in sorted(div.items()):
         if c > 0:
             num = poly.mul_binomial_power(num, j, c)
-        else:
-            negatives.append((j, -c))
-    for j, c in negatives:
-        for _ in range(c):
-            num = poly.divexact_shift(num, j)
+    for j, c in sorted(div.items(), reverse=True):
+        if c < 0:
+            num = poly.divexact_binomial_power(num, j, -c)
     return num
 
 

@@ -7,8 +7,8 @@ Two deliberately separate tool sets live here.  The generic routines
 (``mul``, ``power``, ``long_divmod``) do schoolbook arithmetic and back the
 brute-force oracle only; ``power`` squares and multiplies over the bits of
 the exponent and never uses a binomial recurrence.  The shaped routines
-(``mul_binomial_power``, ``divexact_shift``) exploit the two-term
-structure of t^j - 1 and back the production pipeline.  Keeping both
+(``mul_binomial_power``, ``divexact_binomial_power``) exploit the
+two-term structure of t^j - 1 and back the production pipeline.  Keeping both
 lets the test suite compare the pipeline against arithmetic that shares
 none of its shortcuts.
 
@@ -21,6 +21,7 @@ common denominator and multiplying by the big binomial once per block.
 
 from __future__ import annotations
 
+from itertools import accumulate
 from math import prod
 
 from .errors import NotAPolynomialError
@@ -166,24 +167,26 @@ def mul_binomial_power(p: list, j: int, c: int) -> list:
     return trim(out)
 
 
-def divexact_shift(p: list, j: int) -> list:
-    """Exact division by t^j - 1 via the shift recurrence.
+def divexact_binomial_power(p: list, j: int, c: int) -> list:
+    """Exact division of p by (t^j - 1)^c, residue class by residue class mod j.
 
-    If p = q * (t^j - 1) then p_i = q_{i-j} - q_i, so q is recovered top
-    down in one pass; the lowest j coefficients then pin the remainder,
-    which must vanish.
+    As p = q * (t^j - 1) gives p_i = q_{i-j} - q_i, q's class is the running
+    sum of p's from the top, and the last sum, the remainder, must vanish:
+    one ``accumulate`` pass over each class for each of the c factors.
     """
+    if c < 0:
+        raise ValueError("divexact_binomial_power expects a non-negative exponent")
     if not p:
         return []
-    n = len(p) - 1
-    if n < j:
-        raise NotAPolynomialError(f"degree {n} polynomial is not divisible by t^{j} - 1")
-    q = [0] * (n - j + 1)
-    for i in range(n, j - 1, -1):
-        qi = q[i] if i <= n - j else 0
-        q[i - j] = p[i] + qi
-    for i in range(j):
-        qi = q[i] if i <= n - j else 0
-        if p[i] != -qi:
-            raise NotAPolynomialError(f"division by t^{j} - 1 leaves a remainder")
-    return trim(q)
+    factor = f"t^{j} - 1" if c == 1 else f"(t^{j} - 1)^{c}"
+    if len(p) <= j * c:
+        raise NotAPolynomialError(f"degree {len(p) - 1} polynomial is not divisible by {factor}")
+    out = [0] * (len(p) - j * c)
+    for r in range(j):
+        sums = p[r::j][::-1]
+        for _ in range(c):
+            sums = list(accumulate(sums))
+            if sums.pop():
+                raise NotAPolynomialError(f"division by {factor} leaves a remainder")
+        out[r::j] = sums[::-1]
+    return out

@@ -1,6 +1,7 @@
 """Unit tests for the link-invariant pipeline."""
 
 from itertools import permutations
+from math import gcd
 
 import pytest
 
@@ -11,12 +12,14 @@ from whlink import (
     OrlikDivisor,
     WeightSystem,
     char_poly_from_divisor,
+    cover_divisor,
     invariants_from_divisor,
     lam,
     link_invariants,
     milnor_orlik_divisor,
     oracle_expand,
 )
+from whlink.verify import build_grid
 
 POINCARE = WeightSystem((15, 10, 6), 30)
 POINCARE_DIVISOR = OrlikDivisor({30: 1, 6: -1, 10: -1, 15: -1, 2: 1, 3: 1, 5: 1, 1: -1})
@@ -98,6 +101,35 @@ def test_oracle_matches_pipeline():
         OrlikDivisor({4: 7, 1: -1}),
     ):
         assert oracle_expand(div) == char_poly_from_divisor(div)
+
+
+def test_oracle_matches_pipeline_on_every_small_cover():
+    # verify's oracle property sweeps base rows only: here every cell of
+    # d <= 8, k <= 8 with gcd(d, k) = 1, the cones' zero divisors included
+    grid, _skipped = build_grid(8)
+    covers = [
+        cover_divisor(div, k)
+        for ws, _g, div in grid
+        for k in range(2, 9)
+        if gcd(ws.degree, k) == 1
+    ]
+    for div in covers:
+        assert oracle_expand(div) == char_poly_from_divisor(div), div
+    assert sum(1 for div in covers if div) == 168
+    assert max(-c for div in covers for _j, c in div.items()) == 43
+
+
+@pytest.mark.parametrize(
+    "weights, degree, k",
+    [((3, 3, 13), 39, 34), ((2, 2, 5), 22, 21), ((3, 6, 13), 39, 44), ((1, 2, 2), 30, None)],
+)
+def test_oracle_matches_pipeline_on_heavy_queries(weights, degree, k):
+    # the longest production expansions of the bench's query mix: covers
+    # with terms down to -20, and a base link of degree 5684
+    div = milnor_orlik_divisor(WeightSystem(weights, degree))
+    if k is not None:
+        div = cover_divisor(div, k)
+    assert oracle_expand(div) == char_poly_from_divisor(div)
 
 
 def test_degree_identity():

@@ -67,18 +67,57 @@ def test_mul_binomial_power_matches_generic():
             assert poly.mul_binomial_power(seed, j, c) == poly.mul(seed, factor)
 
 
-def test_divexact_shift_round_trips():
+def test_divexact_binomial_power_round_trips():
     base = [2, -1, 0, 4, 1]
-    for j in (1, 2, 3):
-        grown = poly.mul_binomial_power(base, j, 1)
-        assert poly.divexact_shift(grown, j) == base
+    for j in (1, 2, 3, 7):
+        for c in range(1, 6):
+            grown = poly.mul_binomial_power(base, j, c)
+            assert poly.divexact_binomial_power(grown, j, c) == base
+    assert poly.divexact_binomial_power(base, 3, 0) == base
 
 
-def test_divexact_shift_detects_remainder():
-    with pytest.raises(NotAPolynomialError):
-        poly.divexact_shift([1, 0, 0, 1], 1)  # t^3 + 1 not divisible by t - 1
-    with pytest.raises(NotAPolynomialError):
-        poly.divexact_shift([1, 1], 3)  # degree too small
+def test_divexact_binomial_power_detects_remainder():
+    with pytest.raises(NotAPolynomialError, match=r"^division by t\^1 - 1 leaves a remainder$"):
+        poly.divexact_binomial_power([1, 0, 0, 1], 1, 1)  # t^3 + 1 not divisible by t - 1
+    degree_too_small = r"^degree 1 polynomial is not divisible by t\^3 - 1$"
+    with pytest.raises(NotAPolynomialError, match=degree_too_small):
+        poly.divexact_binomial_power([1, 1], 3, 1)
+
+
+def test_divexact_binomial_power_divisible_once_not_twice():
+    once = poly.mul_binomial_power([1, 0, 1], 2, 1)  # (t^2 + 1)(t^2 - 1), degree 4
+    assert poly.divexact_binomial_power(once, 2, 1) == [1, 0, 1]
+    with pytest.raises(NotAPolynomialError, match=r"^division by \(t\^2 - 1\)\^2 leaves"):
+        poly.divexact_binomial_power(once, 2, 2)
+
+
+def test_divexact_binomial_power_remainder_in_one_residue_class():
+    base = [0, 1, 0, 0, 0, 1]
+    grown = poly.mul_binomial_power(base, 3, 2)
+    for r in range(3):  # one more t^r leaves a remainder in the class of r mod 3 alone
+        bumped = list(grown)
+        bumped[r] += 1
+        with pytest.raises(NotAPolynomialError, match="leaves a remainder"):
+            poly.divexact_binomial_power(bumped, 3, 2)
+        bumped[r + 3] -= 1  # t^r - t^(r+3) = -t^r (t^3 - 1) divides once, not twice
+        once = poly.mul_binomial_power(base, 3, 1)
+        once[r] -= 1
+        assert poly.divexact_binomial_power(bumped, 3, 1) == once
+        with pytest.raises(NotAPolynomialError, match="leaves a remainder"):
+            poly.divexact_binomial_power(bumped, 3, 2)
+
+
+def test_divexact_binomial_power_degree_below_j_c():
+    grown = poly.mul_binomial_power([5, 1], 4, 2)  # degree 9
+    with pytest.raises(NotAPolynomialError, match="^degree 9 polynomial is not divisible by"):
+        poly.divexact_binomial_power(grown, 4, 3)  # needs degree 12
+    with pytest.raises(NotAPolynomialError, match="^degree 9 polynomial is not divisible by"):
+        poly.divexact_binomial_power(grown, 5, 2)
+
+
+def test_divexact_binomial_power_of_the_empty_polynomial():
+    assert poly.divexact_binomial_power([], 1, 1) == []
+    assert poly.divexact_binomial_power([], 6, 5) == []
 
 
 def test_shifted_coefficient_strips_unit_roots():
