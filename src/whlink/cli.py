@@ -38,8 +38,47 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
+_quote = json.encoder.encode_basestring_ascii
+
+
+def _json_text(value, pad: str) -> str:
+    """``value`` as ``json.dumps(value, indent=2, sort_keys=True)`` prints it, nested at ``pad``.
+
+    ``json.dumps`` with an ``indent`` runs CPython's pure-Python encoder;
+    this prints the same bytes, and joins a list of strings, the bulk of
+    most payloads, in one C-level call.  A non-``str`` dict key raises
+    ``TypeError``.
+    """
+    if isinstance(value, str):
+        return _quote(value)
+    if value is None:
+        return "null"
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    if isinstance(value, int):
+        return int.__repr__(value)
+    inner = pad + "  "
+    sep = ",\n" + inner
+    if isinstance(value, (list, tuple)):
+        if not value:
+            return "[]"
+        try:
+            body = sep.join(map(_quote, value))
+        except TypeError:  # not all strings
+            body = sep.join([_json_text(item, inner) for item in value])
+        return f"[\n{inner}{body}\n{pad}]"
+    if isinstance(value, dict):
+        if not value:
+            return "{}"
+        body = sep.join([f"{_quote(k)}: {_json_text(value[k], inner)}" for k in sorted(value)])
+        return f"{{\n{inner}{body}\n{pad}}}"
+    return json.dumps(value)
+
+
 def _emit_json(payload: dict) -> None:
-    print(json.dumps(payload, indent=2, sort_keys=True))
+    print(_json_text(payload, ""))
 
 
 def _system_from_args(args) -> WeightSystem:

@@ -19,8 +19,8 @@ checks.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import gcd, log10
+from typing import NamedTuple
 
 from .divisor import OrlikDivisor
 from .errors import (
@@ -41,8 +41,7 @@ from .invariants import (
 from .weights import WeightSystem
 
 
-@dataclass(frozen=True)
-class CoverLink:
+class CoverLink(NamedTuple):
     """A branched cover together with the invariant records of base and cover.
 
     ``paths_agree`` is True when both divisor computations ran and matched,

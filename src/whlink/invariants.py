@@ -28,8 +28,8 @@ the product a torsion order is divided out of.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import gcd, inf, log10
+from typing import NamedTuple
 
 from . import polynomials as poly
 from .divisor import OrlikDivisor
@@ -174,8 +174,7 @@ def oracle_expand(div: OrlikDivisor) -> list:
     return quot
 
 
-@dataclass(frozen=True)
-class LinkInvariants:
+class LinkInvariants(NamedTuple):
     """Everything the divisor pipeline knows about the link of ``system``.
 
     ``multiplicity_of_unity`` is the coefficient sum, b_{n-2} of the link of

@@ -12,8 +12,8 @@ Smale manifolds carry the resulting order.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import gcd
+from typing import NamedTuple
 
 from .cover import CoverLink, build_cover
 from .errors import (
@@ -30,8 +30,7 @@ from .primes import family_prime_candidates, is_prime
 from .weights import WeightSystem, genus_formula
 
 
-@dataclass(frozen=True)
-class FamilyMember:
+class FamilyMember(NamedTuple):
     """One member of the genus-one family: prime p = 4l - 1 and its weights."""
 
     p: int
@@ -64,8 +63,7 @@ def family_member(p: int) -> FamilyMember:
     return FamilyMember(p, l, system)
 
 
-@dataclass(frozen=True)
-class RealizationCertificate:
+class RealizationCertificate(NamedTuple):
     """A verified witness that some 5-manifold with |H_2| = k^2 exists.
 
     The cover inside carries the full two-path verification.  When k is

@@ -11,10 +11,9 @@ is carried along as a constant 0.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import islice, product
 from math import log10, prod
-from typing import ClassVar
+from typing import NamedTuple
 
 from .errors import InputError, require_digits, require_int
 from .primes import factorize
@@ -22,8 +21,7 @@ from .primes import factorize
 MAX_CANDIDATES = 10_000
 
 
-@dataclass(frozen=True)
-class SmaleManifold:
+class SmaleManifold(NamedTuple):
     """A connected sum of blocks M_{p^s}, stored as (prime, exponent) pairs.
 
     The empty multiset is the 5-sphere.  Summands are kept in canonical
@@ -31,7 +29,7 @@ class SmaleManifold:
     """
 
     summands: tuple
-    i_invariant: ClassVar[int] = 0
+    i_invariant = 0  # a class attribute, not a field
 
     def orders(self) -> tuple:
         """The block orders p^s, in stored canonical order."""

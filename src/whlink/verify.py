@@ -19,7 +19,6 @@ is formatted only when it is kept.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, field
 from math import gcd
 
 from . import polynomials as poly
@@ -42,7 +41,6 @@ MAX_VERIFY_DEGREE = 48
 MAX_VERIFY_K = 200
 
 
-@dataclass
 class PropertyCheck:
     """Counts of one property's checks, and the first failures' descriptions.
 
@@ -50,10 +48,11 @@ class PropertyCheck:
     cap is kept as ``template.format(*args)``.
     """
 
-    name: str
-    checked: int = 0
-    failed: int = 0
-    failures: list = field(default_factory=list)
+    def __init__(self, name: str):
+        self.name = name
+        self.checked = 0
+        self.failed = 0
+        self.failures = []
 
     def record(self, ok: bool, template: str, *args):
         self.checked += 1
@@ -67,21 +66,23 @@ class PropertyCheck:
         return self.failed == 0
 
 
-@dataclass
 class VerificationReport:
-    max_degree: int
-    max_k: int
-    systems: int
-    skipped_nonintegral: int
-    checks: list
+    """The bounds of one ``run_verification``, its grid counts and its properties."""
+
+    def __init__(self, max_degree, max_k, systems, skipped_nonintegral, checks):
+        self.max_degree = max_degree
+        self.max_k = max_k
+        self.systems = systems
+        self.skipped_nonintegral = skipped_nonintegral
+        self.checks = checks
 
     @property
     def ok(self) -> bool:
         return all(c.ok for c in self.checks)
 
     def as_json(self) -> dict:
-        report = asdict(self)
-        report["properties"] = report.pop("checks")
+        report = dict(vars(self))
+        report["properties"] = [dict(vars(c)) for c in report.pop("checks")]
         report["ok"] = self.ok
         return report
 

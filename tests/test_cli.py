@@ -88,6 +88,19 @@ def test_runtime_needs_only_the_standard_library():
     assert json.loads(done.stdout) == {"code": 0, "foreign": [], "whlink": True}
 
 
+@pytest.mark.parametrize("module", ["whlink.cli", "whlink.verify"])
+def test_import_skips_dataclasses_and_inspect(module):
+    # dataclasses, which alone pulls in inspect, ast, dis and tokenize,
+    # costs a fresh interpreter about 12 ms; -S leaves out site, whose own
+    # imports could hide a regression
+    script = (
+        f"import sys; sys.path.insert(0, {str(ROOT / 'src')!r}); import {module}; "
+        "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
+    )
+    done = subprocess.run([sys.executable, "-S", "-c", script], capture_output=True, timeout=60)
+    assert (done.returncode, done.stdout, done.stderr) == (0, b"[]\n", b"")
+
+
 def test_genus_text(capsys):
     code, out, _ = run(capsys, "genus", "--weights", "1,2,3", "--degree", "7")
     assert code == 0
