@@ -22,10 +22,9 @@ divisors are equal exactly when their term maps are equal.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from math import gcd, lcm
 
-from .errors import InvalidIndexError, require_int
+from .errors import InvalidIndexError, NotAPolynomialError, require_int
 
 
 def _normalized(terms: dict) -> dict:
@@ -140,13 +139,13 @@ class OrlikDivisor:
             sum(c for j, c in self._terms.items() if j % e == 0) >= 0 for e in orders
         )
 
-    def reduced_value_at_one(self) -> int | Fraction:
+    def reduced_value_at_one(self) -> int:
         """Value at t = 1 of the encoded product with all t - 1 factors cancelled.
 
         Each t^j - 1 contributes a simple zero at t = 1 with cofactor j, so
         after dividing out (t - 1)^{coefficient_sum} the value is
-        prod_j j^{c_j}, a rational number defined for every divisor.  It is
-        returned as an int when it is one, as a ``Fraction`` otherwise.
+        prod_j j^{c_j}, an int for the divisor of a polynomial.  A product
+        that is not an integer raises ``NotAPolynomialError``.
         """
         num = den = 1
         for j, c in self._terms.items():
@@ -155,7 +154,9 @@ class OrlikDivisor:
             else:
                 den *= j**-c
         quotient, remainder = divmod(num, den)
-        return Fraction(num, den) if remainder else quotient
+        if remainder:
+            raise NotAPolynomialError("the divisor's value at t = 1 is not an integer")
+        return quotient
 
     # -- serialization -----------------------------------------------------
 

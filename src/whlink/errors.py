@@ -39,8 +39,9 @@ class FamilyDomainError(InputError):
 class NotAPolynomialError(WhlinkError):
     """A divisor's encoded product is not an honest polynomial.
 
-    Raised when exact division leaves a remainder, which means the divisor
-    did not come from the characteristic polynomial of an actual link.
+    Raised when exact division leaves a remainder, or the value at t = 1 is
+    not an integer, which means the divisor did not come from the
+    characteristic polynomial of an actual link.
     """
 
 

@@ -34,7 +34,6 @@ from typing import NamedTuple
 from . import polynomials as poly
 from .divisor import OrlikDivisor
 from .errors import (
-    ConsistencyError,
     CrossCheckError,
     InputError,
     NotAPolynomialError,
@@ -225,10 +224,7 @@ def invariants_from_divisor(ws: WeightSystem, div: OrlikDivisor) -> LinkInvarian
         if sum(x for x in logs if x > 0) > MAX_PRODUCT_DIGITS:
             limit = MAX_PRODUCT_DIGITS
             raise InputError(f"the torsion order's numerator has more than {limit} digits")
-        value = div.reduced_value_at_one()
-        if value.denominator != 1 or value <= 0:
-            raise ConsistencyError(f"torsion order came out as {value}, not a positive integer")
-        delta_at_one = int(value)
+        delta_at_one = div.reduced_value_at_one()
     char_poly = None
     if div.polynomial_degree() <= MAX_POLY_DEGREE:
         char_poly = char_poly_from_divisor(div)

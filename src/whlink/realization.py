@@ -48,7 +48,7 @@ def family_member(p: int) -> FamilyMember:
     integer.  The genus is recomputed and must come out 1; the middle and
     last weights are l and 2l - 1, coprime since gcd(l, 2l - 1) = gcd(l, 1).
     """
-    require_int(p, 3, "family degree must be prime", FamilyDomainError)
+    require_int(p, None, "family degree must be prime", FamilyDomainError)
     if not is_prime(p):
         raise FamilyDomainError(f"family degree must be prime, got {p!r}")
     if p % 4 != 3:
@@ -130,7 +130,7 @@ def iter_integral_genus_systems(max_degree: int, target_genus: int | None = None
     Weights run over 1 <= w_1 <= w_2 <= w_3 <= d, restricted to primitive
     triples (non-primitive ones present the same links with the genus
     formula out of its domain).  A system is built only where
-    ``weights.genus_formula`` is a non-negative integer, as
+    ``weights.genus_formula`` gives a genus, not None, as
     ``WeightSystem.genus`` requires.  With ``target_genus`` given only
     systems of that genus are yielded, and for a positive target the scan
     stops w_3 where the weights sum past the degree, since those systems
@@ -147,7 +147,7 @@ def iter_integral_genus_systems(max_degree: int, target_genus: int | None = None
                     if gcd(g12, w3) != 1:
                         continue
                     g = genus_formula(w1, w2, w3, d)
-                    if not isinstance(g, int) or (target_genus is not None and g != target_genus):
+                    if g is None or (target_genus is not None and g != target_genus):
                         continue
                     ws = WeightSystem((w1, w2, w3), d)
                     try:

@@ -119,11 +119,11 @@ def check_oracle_agreement(grid) -> PropertyCheck:
         try:
             pipeline = char_poly_from_divisor(div)
             oracle = oracle_expand(div)
+            value = div.reduced_value_at_one()
         except NotAPolynomialError as exc:
             check.record(False, "{}: {}", ws, exc)
             continue
         check.record(pipeline == oracle, "{}: polynomial expansions disagree", ws)
-        value = div.reduced_value_at_one()
         ok, _error, template, args = expansion_check(ws, div, oracle, value)
         check.record(ok, template, *args)
         shifted = poly.shifted_coefficient(oracle, div.coefficient_sum())

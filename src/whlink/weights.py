@@ -9,21 +9,12 @@ index of the quotient orbifold.
 
 from __future__ import annotations
 
-from fractions import Fraction
-from math import gcd, log10
+from math import gcd
 
-from .errors import MAX_ORDER_DIGITS, InputError, NotASmoothCurveError, require_int
-
-
-def _printable(value: Fraction) -> str:
-    """``value`` as text, or its size when it has too many digits to print."""
-    digits = max(value.numerator.bit_length(), value.denominator.bit_length()) * log10(2)
-    if digits > MAX_ORDER_DIGITS:
-        return f"a value of more than {MAX_ORDER_DIGITS} digits"
-    return str(value)
+from .errors import InputError, NotASmoothCurveError, require_int
 
 
-def genus_formula(w1: int, w2: int, w3: int, d: int) -> int | Fraction:
+def genus_formula(w1: int, w2: int, w3: int, d: int) -> int | None:
     """Orlik-Wagreich genus of primitive weights (w_1, w_2, w_3) and degree d,
 
         1/2 * ( d^2 / (w_1 w_2 w_3)
@@ -32,7 +23,7 @@ def genus_formula(w1: int, w2: int, w3: int, d: int) -> int | Fraction:
                 - 1 ),
 
     the plane-curve count (d-1)(d-2)/2 when all weights are 1: an int when
-    it is a non-negative integer, a ``Fraction`` otherwise.
+    it is a non-negative integer, None otherwise.
     """
     # cleared of denominators: each term is the formula's times 2 * w1 * w2 * w3
     product = w1 * w2 * w3
@@ -45,9 +36,7 @@ def genus_formula(w1: int, w2: int, w3: int, d: int) -> int | Fraction:
         - product
     )
     genus, remainder = divmod(numerator, 2 * product)
-    if remainder or genus < 0:
-        return Fraction(numerator, 2 * product)
-    return genus
+    return None if remainder or genus < 0 else genus
 
 
 class WeightSystem:
@@ -120,9 +109,9 @@ class WeightSystem:
                 "primitive weight system, which has the same link"
             )
         genus = genus_formula(w1, w2, w3, self.degree)
-        if not isinstance(genus, int):
+        if genus is None:
             raise NotASmoothCurveError(
-                f"genus formula gives {_printable(genus)} for {self}; "
+                f"genus formula for {self} is not a non-negative integer; "
                 "no quasi-smooth curve has these weights"
             )
         return genus

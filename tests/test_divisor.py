@@ -7,6 +7,7 @@ import pytest
 
 from whlink import (
     InvalidIndexError,
+    NotAPolynomialError,
     OrlikDivisor,
     WeightSystem,
     lam,
@@ -146,9 +147,10 @@ def test_value_at_one_poincare_case():
     assert POINCARE.reduced_value_at_one() == 1
 
 
-def test_value_at_one_is_a_fraction_only_when_not_integral():
-    value = OrlikDivisor({1: 1, 2: -1}).reduced_value_at_one()
-    assert type(value) is Fraction and value == Fraction(1, 2)
+def test_value_at_one_raises_when_not_integral():
+    # (t - 1) / (t^2 - 1) = 1 / (t + 1), whose value 1/2 is no polynomial's
+    with pytest.raises(NotAPolynomialError):
+        OrlikDivisor({1: 1, 2: -1}).reduced_value_at_one()
 
 
 def test_value_at_one_empty_product():

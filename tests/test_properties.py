@@ -2,13 +2,14 @@
 
 from collections import Counter
 from fractions import Fraction
-from math import gcd
+from math import gcd, prod
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from whlink import (
+    NotAPolynomialError,
     OrlikDivisor,
     WeightSystem,
     cover_divisor,
@@ -67,14 +68,18 @@ def test_cover_divisor_is_the_lam_k_minus_one_product(d, k):
     assert cover_divisor(d, k) == OrlikDivisor(expected)
 
 
-@given(divisors, divisors)
-def test_reduced_value_multiplicative(a, b):
-    a_plus_b = Counter(dict(a.items()))
-    a_plus_b.update(dict(b.items()))
-    assert (
-        a.reduced_value_at_one() * b.reduced_value_at_one()
-        == OrlikDivisor(a_plus_b).reduced_value_at_one()
-    )
+@given(divisors)
+@example(OrlikDivisor({6: 2, 2: -1, 3: -1}))  # 36 / 6 = 6
+@example(OrlikDivisor({2: 1, 4: -1}))  # 1/2
+def test_reduced_value_matches_fraction_product(d):
+    # prod_j j^{c_j}: an int where it is an integer, a refusal everywhere else
+    value = prod(Fraction(j) ** c for j, c in d.items())
+    if value.denominator == 1:
+        result = d.reduced_value_at_one()
+        assert type(result) is int and result == value
+    else:
+        with pytest.raises(NotAPolynomialError):
+            d.reduced_value_at_one()
 
 
 # indices among the divisors of 120, so that gcds of support indices are

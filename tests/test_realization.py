@@ -100,10 +100,22 @@ def test_family_member_p7():
     assert member.system.degree == 7
 
 
-@pytest.mark.parametrize("p", [5, 13, 9, 4, 1])
+WRONG_FAMILY_PRIMES = {
+    5: "congruent to 3 mod 4, got 5 = 4*1 + 1",
+    13: "congruent to 3 mod 4, got 13 = 4*3 + 1",
+    9: "prime, got 9",
+    4: "prime, got 4",
+    1: "prime, got 1",
+    # prime, so the reason is its residue
+    2: "congruent to 3 mod 4, got 2 = 4*0 + 2",
+}
+
+
+@pytest.mark.parametrize("p", list(WRONG_FAMILY_PRIMES))
 def test_family_member_rejects_wrong_primes(p):
-    with pytest.raises(FamilyDomainError):
+    with pytest.raises(FamilyDomainError) as excinfo:
         family_member(p)
+    assert str(excinfo.value) == f"family degree must be {WRONG_FAMILY_PRIMES[p]}"
 
 
 def test_family_genus_one_and_betti_two():

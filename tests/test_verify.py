@@ -12,7 +12,7 @@ import pytest
 
 from whlink.cover import build_cover
 from whlink.divisor import OrlikDivisor, lam
-from whlink.errors import CrossCheckError, TwoPathMismatchError
+from whlink.errors import CrossCheckError, NotAPolynomialError, TwoPathMismatchError
 from whlink.invariants import link_divisor, link_invariants, oracle_expand
 from whlink.verify import (
     _FAILURE_CAP,
@@ -72,6 +72,18 @@ def test_oracle_agreement_failure_text_for_a_refused_divisor():
     check = check_oracle_agreement([(CUBIC, 1, OrlikDivisor({1: -1}))])
     assert (check.checked, check.failed) == (1, 1)
     assert check.failures == ["w=(1,1,1; d=3): degree 0 polynomial is not divisible by t^1 - 1"]
+
+
+def test_oracle_agreement_counts_a_refused_read_out(monkeypatch):
+    # a value at t = 1 that is not an integer is one failed check, like a
+    # refused expansion, not an exception out of the sweep
+    def refuse(self):
+        raise NotAPolynomialError("the divisor's value at t = 1 is not an integer")
+
+    monkeypatch.setattr(OrlikDivisor, "reduced_value_at_one", refuse)
+    check = check_oracle_agreement([CUBIC_ROW])
+    assert (check.checked, check.failed) == (1, 1)
+    assert check.failures == ["w=(1,1,1; d=3): the divisor's value at t = 1 is not an integer"]
 
 
 def test_oracle_agreement_failure_texts(monkeypatch):

@@ -1,10 +1,12 @@
 """Unit tests for weight systems and the genus formula."""
 
+from fractions import Fraction
 from math import gcd
 
 import pytest
 
 from whlink import InputError, NotASmoothCurveError, WeightSystem
+from whlink.weights import genus_formula
 
 
 def test_reduced_ratios_poincare():
@@ -47,9 +49,41 @@ def test_genus_classical_degeneration():
 def test_genus_rejects_fractional_value():
     # no quasi-smooth curve: the formula gives -1/3; the message is a plain
     # string, formatted when raised
-    with pytest.raises(NotASmoothCurveError, match=r"gives -1/3 for w=\(2,3,5; d=7\)") as excinfo:
+    reason = r"genus formula for w=\(2,3,5; d=7\) is not a non-negative integer"
+    with pytest.raises(NotASmoothCurveError, match=reason) as excinfo:
         WeightSystem((2, 3, 5), 7).genus()
     assert type(excinfo.value.args[0]) is str
+
+
+def stated_genus(w1, w2, w3, d) -> Fraction:
+    """The genus formula as ``genus_formula``'s docstring writes it, term by term."""
+    pairs = ((w1, w2), (w1, w3), (w2, w3))
+    return Fraction(1, 2) * (
+        Fraction(d * d, w1 * w2 * w3)
+        - d * sum(Fraction(gcd(a, b), a * b) for a, b in pairs)
+        + sum(Fraction(gcd(d, w), w) for w in (w1, w2, w3))
+        - 1
+    )
+
+
+def test_genus_formula_matches_its_stated_formula():
+    # an int where the stated value is a non-negative integer, None elsewhere
+    kept = rejected = 0
+    for d in range(1, 25):
+        for w1 in range(1, d + 1):
+            for w2 in range(w1, d + 1):
+                for w3 in range(w2, d + 1):
+                    if gcd(w1, w2, w3) != 1:
+                        continue
+                    value = stated_genus(w1, w2, w3, d)
+                    genus = genus_formula(w1, w2, w3, d)
+                    if value.denominator == 1 and value >= 0:
+                        assert type(genus) is int and genus == value, (w1, w2, w3, d)
+                        kept += 1
+                    else:
+                        assert genus is None, (w1, w2, w3, d)
+                        rejected += 1
+    assert kept > 0 and rejected > 0
 
 
 def test_genus_rejects_wrong_arity():
