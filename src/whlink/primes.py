@@ -1,30 +1,36 @@
 """Deterministic primality, factorization, and the family primes 3 mod 4.
 
-A certificate-producing tool cannot afford probabilistic primality, so
-``is_prime`` runs a fixed strong-pseudoprime witness battery, the first 13
-primes {2, 3, ..., 41}.  Sorenson and Webster (Math. Comp. 86, 2017) prove
-it correct for every n below 3317044064679887385961981, the least strong
-pseudoprime to all 13 bases; the first 12 alone already fail at
-318665857834031151167461 = 399165290221 * 798330580441.  Larger n is
-rejected outright rather than answered with less than certainty.
+A certificate-producing tool cannot afford probabilistic primality.  Let
+psi_t be the least strong pseudoprime to each of the first t prime bases
+(OEIS A014233), so that those t bases prove primality below psi_t:
+Pomerance, Selfridge and Wagstaff (Math. Comp. 35, 1980) and Jaeschke
+(Math. Comp. 61, 1993) give psi_t for t <= 8, Jiang and Deng (Math. Comp.
+83, 2014) psi_9 = psi_10 = psi_11, and Sorenson and Webster (Math. Comp.
+86, 2017) psi_12 = 318665857834031151167461 and psi_13 =
+3317044064679887385961981.  ``is_prime`` tests n to the first t of the
+bases 2, 3, ..., 41 for the least t with n < psi_t: 5 bases below psi_5 =
+2152302898747.  n at or past psi_13 is rejected outright rather than
+answered with less than certainty.
 
-``factorize`` splits with Pollard's rho in Brent's form (BIT 20, 1980)
-wherever ``is_prime`` can certify the pieces, and trial-divides up to 10**6
-where it cannot; either way a number is accepted or rejected by the same
-rule, read off the part of it that has no prime factor below 10**6.
+``factorize`` strips the primes below 2**10 with one gcd against their
+product, splits what is left with Pollard's rho in Brent's form (BIT 20,
+1980) wherever ``is_prime`` can certify the pieces, and trial-divides up to
+10**6 where it cannot; either way a number is accepted or rejected by the
+same rule, read off the part of it that has no prime factor below 10**6.
 """
 
 from __future__ import annotations
 
+from functools import cache
 from itertools import pairwise
 from math import gcd, isqrt, prod
 
 from .errors import ConsistencyError, InputError, require_int
 
 _TRIAL_LIMIT = 10**6
-# factorize trial-divides below this before anything else: every k up to
-# 2**20 is done there
-_SMALL_TRIAL_LIMIT = 2**10
+# factorize strips the primes below this before anything else: every k up
+# to 2**20 is done there
+_SMALL_PRIME_LIMIT = 2**10
 _RHO_CONSTANTS = (1, 3)
 # pairs Brent's rho compares per constant: a factor below 10**6 takes about
 # 1300, and a piece rho cannot split costs both constants about a tenth of
@@ -34,7 +40,24 @@ _RHO_BATCH = 128
 # largest limit primes_4l_minus_1 sieves up to: a 10 MB flag table
 MAX_SIEVE_LIMIT = 10**7
 _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
-_MR_PROVEN_BOUND = 3_317_044_064_679_887_385_961_981
+# psi_t, the least strong pseudoprime to the first t witnesses (OEIS A014233):
+# those t bases are exact below it
+_MR_PSI = (
+    2047,
+    1_373_653,
+    25_326_001,
+    3_215_031_751,
+    2_152_302_898_747,
+    3_474_749_660_383,
+    341_550_071_728_321,
+    341_550_071_728_321,
+    3_825_123_056_546_413_051,
+    3_825_123_056_546_413_051,
+    3_825_123_056_546_413_051,
+    318_665_857_834_031_151_167_461,
+    3_317_044_064_679_887_385_961_981,
+)
+_MR_PROVEN_BOUND = _MR_PSI[-1]
 
 
 def _strong_probable_prime(n: int, a: int) -> bool:
@@ -55,7 +78,13 @@ def _strong_probable_prime(n: int, a: int) -> bool:
 
 
 def is_prime(n: int) -> bool:
-    """Deterministic primality test for n below the proven witness bound."""
+    """Deterministic primality test for n below psi_13.
+
+    After trial division by the 13 witness primes, n gets a strong
+    probable-prime test to each of the first t of them, where t is the
+    least index with n < psi_t: 1 base below 2047, 5 below psi_5 =
+    2152302898747, all 13 below psi_13.  ``InputError`` for n >= psi_13.
+    """
     require_int(n, None, "primality is defined for integers")
     if n < 2:
         return False
@@ -64,7 +93,13 @@ def is_prime(n: int) -> bool:
     for p in _MR_WITNESSES:
         if n % p == 0:
             return n == p
-    return all(_strong_probable_prime(n, a) for a in _MR_WITNESSES)
+    for a, psi in zip(_MR_WITNESSES, _MR_PSI):
+        if not _strong_probable_prime(n, a):
+            return False
+        if n < psi:
+            return True
+    # reached only when _MR_PROVEN_BOUND is moved past psi_13
+    return True
 
 
 def sieve(limit: int) -> bytearray:
@@ -102,11 +137,13 @@ def family_prime_candidates():
 
 
 def _trial_divide(rest: int, f: int, limit: int):
-    """Divide f, then each odd number after it below ``limit``, out of ``rest``.
+    """Divide each odd number from f on below ``limit`` out of ``rest``.
 
-    Stops early once f * f > rest, when what is left is 1 or a prime; that
-    prime is then a factor found too.  Returns the (factor, exponent) pairs
-    found and what is left, 1 after an early stop.
+    f must be odd: ``factorize`` calls this from 1025, once every prime
+    below 2**10, 2 included, is out.  Stops early once f * f > rest, when
+    what is left is 1 or a prime; that prime is then a factor found too.
+    Returns the (factor, exponent) pairs found and what is left, 1 after an
+    early stop.
     """
     out = []
     while f * f <= rest and f < limit:
@@ -116,7 +153,7 @@ def _trial_divide(rest: int, f: int, limit: int):
                 rest //= f
                 e += 1
             out.append((f, e))
-        f += 1 if f == 2 else 2
+        f += 2
     if f * f > rest > 1:
         out.append((rest, 1))
         rest = 1
@@ -156,20 +193,62 @@ def _brent_rho(n: int):
     return None
 
 
+@cache
+def _small_primes() -> tuple:
+    """The primes below 2**10, ascending, and their product."""
+    flags = sieve(_SMALL_PRIME_LIMIT - 1)
+    small = tuple(p for p in range(2, _SMALL_PRIME_LIMIT) if flags[p])
+    return small, prod(small)
+
+
+def _strip_small_primes(k: int):
+    """Divide every prime below 2**10 out of k: (pairs found, what is left).
+
+    g = gcd(k, the product of those primes) is squarefree, and only the
+    primes dividing g are divided out.  What is left then has no prime
+    factor below 1025, so if it is above 1 and below 1025**2 it is prime:
+    it is recorded as a factor and 1 is left, as ``_trial_divide``'s early
+    stop would.
+    """
+    small, primorial = _small_primes()
+    g = gcd(k, primorial)
+    divisors = []
+    for p in small:
+        if p * p > g:
+            break
+        if g % p == 0:
+            g //= p
+            divisors.append(p)
+    if g > 1:
+        # squarefree with no prime factor up to its square root
+        divisors.append(g)
+    found = []
+    for p in divisors:
+        e = 0
+        while k % p == 0:
+            k //= p
+            e += 1
+        found.append((p, e))
+    if 1 < k < (_SMALL_PRIME_LIMIT + 1) ** 2:
+        found.append((k, 1))
+        k = 1
+    return found, k
+
+
 def factorize(k: int) -> list:
     """Prime factorization as ascending (prime, exponent) pairs.
 
-    Trial division below 2**10 first; what is left is split by Brent's rho
-    into pieces ``is_prime`` certifies, and a piece rho cannot split, or one
-    past ``is_prime``'s range, is trial-divided up to 10**6.  Let r be k
-    with every prime factor below 10**6 divided out: k is accepted iff
-    r = 1, r < 10**12 (so r is prime) or ``is_prime(r)``.  A composite r is
-    rejected as out of range, and an r past ``is_prime``'s range gets its
-    error.  The answer is checked to multiply back to k before it is
-    returned; ``ConsistencyError`` if it does not.
+    The primes below 2**10 are stripped with one gcd first; what is left is
+    split by Brent's rho into pieces ``is_prime`` certifies, and a piece rho
+    cannot split, or one past ``is_prime``'s range, is trial-divided up to
+    10**6.  Let r be k with every prime factor below 10**6 divided out: k
+    is accepted iff r = 1, r < 10**12 (so r is prime) or ``is_prime(r)``.
+    A composite r is rejected as out of range, and an r past ``is_prime``'s
+    range gets its error.  The answer is checked to multiply back to k
+    before it is returned; ``ConsistencyError`` if it does not.
     """
     require_int(k, 1, "factorization is defined for positive integers")
-    found, rest = _trial_divide(k, 2, _SMALL_TRIAL_LIMIT)
+    found, rest = _strip_small_primes(k)
     pieces = [rest] if rest > 1 else []
     while pieces:
         n = pieces.pop()
@@ -182,7 +261,7 @@ def factorize(k: int) -> list:
             pieces += (d, n // d)
             continue
         # every prime below 2**10 is already out of n
-        more, n = _trial_divide(n, _SMALL_TRIAL_LIMIT + 1, _TRIAL_LIMIT)
+        more, n = _trial_divide(n, _SMALL_PRIME_LIMIT + 1, _TRIAL_LIMIT)
         found += more
         if n > 1:
             found.append((n, 1))

@@ -132,13 +132,20 @@ def check_oracle_agreement(grid) -> PropertyCheck:
 
 
 def check_cover_two_path(grid, max_k: int) -> PropertyCheck:
-    """``cover.cover_checks``, which ``build_cover`` raises on, for each coprime k."""
+    """``cover.cover_checks``, which ``build_cover`` raises on, for each coprime k.
+
+    A cover divisor whose value at t = 1 is refused is one failed check.
+    """
     check = PropertyCheck("cover_two_path")
     for ws, g, div in grid:
         for k in range(2, max_k + 1):
             if gcd(ws.degree, k) == 1:
                 via = cover_divisor(div, k)
-                order = via.reduced_value_at_one()
+                try:
+                    order = via.reduced_value_at_one()
+                except NotAPolynomialError as exc:
+                    check.record(False, "{}, k={}: {}", ws, k, exc)
+                    continue
                 checks = cover_checks(ws, g, k, via, order, cover_weights(ws, k))
                 for ok, _error, template, args in checks:
                     check.record(ok, template, *args)

@@ -82,6 +82,12 @@ EDGE_SHAPES = [
     2 * nextprime(PSI_13),
     prevprime(10**13) * nextprime(10**7),
     nextprime(10**13) * prevprime(10**7),
+    # on both sides of 1025**2, below which what is left after the primes
+    # under 2**10 are stripped is taken for a prime
+    1021 * 1031,
+    2 * 3 * 5 * prevprime(1025**2),
+    1031 * 1033,
+    1031**2,
 ]
 
 

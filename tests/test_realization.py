@@ -1,8 +1,10 @@
 """Unit tests for realization, the prime family, and Smale enumeration."""
 
+from itertools import pairwise
 from math import gcd
 
 import pytest
+from sympy import isprime, nextprime
 
 from whlink import (
     CoprimalityError,
@@ -19,6 +21,7 @@ from whlink import (
     search_weight_systems,
     smale_decompositions,
 )
+from whlink import primes
 from whlink.primes import sieve
 from whlink.realization import iter_integral_genus_systems
 from whlink.smale import partitions_desc
@@ -52,10 +55,9 @@ def test_is_prime_large_values():
     assert is_prime(10**18 + 9)
 
 
-# psi_m, the least strong pseudoprime to each of the first m prime bases,
-# for m = 1..12 (psi_5 = psi_6 and psi_7 = psi_8); each one fools every
-# witness battery shorter than m + 1 primes
-STRONG_PSEUDOPRIMES = [
+# psi_t, the least strong pseudoprime to each of the first t prime bases,
+# for t = 1..13 (OEIS A014233); those t bases prove primality below psi_t
+PSI = (
     2047,
     1373653,
     25326001,
@@ -63,14 +65,67 @@ STRONG_PSEUDOPRIMES = [
     2152302898747,
     3474749660383,
     341550071728321,
+    341550071728321,
+    3825123056546413051,
+    3825123056546413051,
     3825123056546413051,
     318665857834031151167461,
-]
+    3317044064679887385961981,
+)
+# psi_1..psi_12, each once (psi_7 = psi_8 and psi_9 = psi_10 = psi_11); psi_t
+# fools every witness battery shorter than t + 1 primes
+STRONG_PSEUDOPRIMES = sorted(set(PSI[:12]))
 
 
 @pytest.mark.parametrize("n", STRONG_PSEUDOPRIMES)
 def test_is_prime_rejects_strong_pseudoprimes(n):
     assert not is_prime(n)
+
+
+def test_is_prime_runs_the_fewest_proven_rounds(monkeypatch):
+    # a prime in [psi_(t-1), psi_t) takes exactly t strong-probable-prime
+    # rounds; psi_0 stands for 42, past the witnesses trial division finds
+    rounds = []
+    test_one_base = primes._strong_probable_prime
+
+    def counted(n, a):
+        rounds.append(a)
+        return test_one_base(n, a)
+
+    monkeypatch.setattr(primes, "_strong_probable_prime", counted)
+    for t, (lo, hi) in enumerate(pairwise((42, *PSI)), start=1):
+        if lo == hi:
+            continue
+        p = nextprime(lo)
+        assert p < hi
+        rounds.clear()
+        assert is_prime(p)
+        assert len(rounds) == t, (t, p)
+    # past psi_13, which only a moved range bound lets through, all 13 run
+    monkeypatch.setattr(primes, "_MR_PROVEN_BOUND", 10**100)
+    rounds.clear()
+    assert is_prime(nextprime(PSI[-1]))
+    assert len(rounds) == 13
+
+
+@pytest.mark.parametrize(
+    "ladder",
+    [tuple(psi + 1 for psi in PSI), PSI[1:] + PSI[-1:]],
+    ids=["at-or-below-psi", "shifted-by-one"],
+)
+def test_planted_ladder_passes_pseudoprimes(monkeypatch, ladder):
+    # one base too few at psi_t lets psi_t through; 2047 = 23 * 89 still
+    # falls to trial division by the witness 23
+    monkeypatch.setattr(primes, "_MR_PSI", ladder)
+    assert [n for n in STRONG_PSEUDOPRIMES if is_prime(n)] == STRONG_PSEUDOPRIMES[1:]
+
+
+def test_is_prime_matches_sympy_near_each_psi():
+    # every psi_t is odd, and so is each n taken here; n >= psi_13 is out
+    # of range
+    for psi in sorted(set(PSI)):
+        odd = range(psi - 10**4, min(psi + 10**4 + 1, PSI[-1]), 2)
+        assert [n for n in odd if is_prime(n)] == [n for n in odd if isprime(n)]
 
 
 def test_is_prime_proven_range():

@@ -86,6 +86,23 @@ def test_oracle_agreement_counts_a_refused_read_out(monkeypatch):
     assert check.failures == ["w=(1,1,1; d=3): the divisor's value at t = 1 is not an integer"]
 
 
+def test_cover_two_path_counts_a_refused_read_out(monkeypatch):
+    # each (system, k) cell whose read-out refuses is one failed check, and
+    # the sweep goes on to the next cell
+    def refuse(self):
+        raise NotAPolynomialError("the divisor's value at t = 1 is not an integer")
+
+    grid = build_grid(4)[0]
+    cells = [(ws, k) for ws, _g, _div in grid for k in (2, 3) if gcd(ws.degree, k) == 1]
+    monkeypatch.setattr(OrlikDivisor, "reduced_value_at_one", refuse)
+    check = check_cover_two_path(grid, 3)
+    assert (check.checked, check.failed) == (len(cells), len(cells))
+    assert check.failures == [
+        f"{ws}, k={k}: the divisor's value at t = 1 is not an integer"
+        for ws, k in cells[:_FAILURE_CAP]
+    ]
+
+
 def test_oracle_agreement_failure_texts(monkeypatch):
     # the constant 1: another polynomial, of degree 0 and value 1 at t = 1,
     # and value 0 read as the coefficient of s^2 in p(1 + s)
