@@ -8,7 +8,9 @@ Two deliberately separate tool sets live here.  The generic routines
 brute-force oracle only; ``power`` squares and multiplies over the bits of
 the exponent and never uses a binomial recurrence.  The shaped routines
 (``mul_binomial_power``, ``divexact_binomial_power``) exploit the
-two-term structure of t^j - 1 and back the production pipeline.  Keeping both
+two-term structure of t^j - 1 and back the production pipeline: the product
+walks only p's nonzero terms, and the division works residue class by
+residue class mod j, skipping the classes that are all zero.  Keeping both
 lets the test suite compare the pipeline against arithmetic that shares
 none of its shortcuts.
 
@@ -149,20 +151,21 @@ def mul_binomial_power(p: list, j: int, c: int) -> list:
 
     The factor is sum_m (-1)^{c-m} C(c, m) t^{jm}; the binomials are built
     by the multiplicative recurrence, so this route never performs a
-    polynomial-by-polynomial product.
+    polynomial-by-polynomial product.  p's nonzero terms are listed once,
+    and each of the c + 1 binomial rows walks only those.
     """
     if c < 0:
         raise ValueError("mul_binomial_power expects a non-negative exponent")
     if not p:
         return []
     out = [0] * (len(p) + j * c)
+    terms = [(i, pi) for i, pi in enumerate(p) if pi]
     binom = 1
     for m in range(c + 1):
         coef = binom if (c - m) % 2 == 0 else -binom
         base = j * m
-        for i, pi in enumerate(p):
-            if pi:
-                out[base + i] += coef * pi
+        for i, pi in terms:
+            out[base + i] += coef * pi
         binom = binom * (c - m) // (m + 1)
     return trim(out)
 
@@ -172,7 +175,9 @@ def divexact_binomial_power(p: list, j: int, c: int) -> list:
 
     As p = q * (t^j - 1) gives p_i = q_{i-j} - q_i, q's class is the running
     sum of p's from the top, and the last sum, the remainder, must vanish:
-    one ``accumulate`` pass over each class for each of the c factors.
+    one ``accumulate`` pass over each class for each of the c factors.  A
+    class of p that is all zero has an all-zero quotient class and no
+    remainder, so it is skipped, and ``out`` keeps its zeros there.
     """
     if c < 0:
         raise ValueError("divexact_binomial_power expects a non-negative exponent")
@@ -183,7 +188,10 @@ def divexact_binomial_power(p: list, j: int, c: int) -> list:
         raise NotAPolynomialError(f"degree {len(p) - 1} polynomial is not divisible by {factor}")
     out = [0] * (len(p) - j * c)
     for r in range(j):
-        sums = p[r::j][::-1]
+        sums = p[r::j]
+        if not any(sums):
+            continue
+        sums.reverse()
         for _ in range(c):
             sums = list(accumulate(sums))
             if sums.pop():

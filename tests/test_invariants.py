@@ -1,7 +1,7 @@
 """Unit tests for the link-invariant pipeline."""
 
 from itertools import permutations
-from math import gcd
+from math import comb, gcd
 
 import pytest
 
@@ -121,15 +121,38 @@ def test_oracle_matches_pipeline_on_every_small_cover():
 
 @pytest.mark.parametrize(
     "weights, degree, k",
-    [((3, 3, 13), 39, 34), ((2, 2, 5), 22, 21), ((3, 6, 13), 39, 44), ((1, 2, 2), 30, None)],
+    [
+        ((3, 3, 13), 39, 34),
+        ((2, 2, 5), 22, 21),
+        ((3, 6, 13), 39, 44),
+        ((1, 2, 2), 30, None),
+        ((1, 1, 1), 11, 2),
+    ],
 )
 def test_oracle_matches_pipeline_on_heavy_queries(weights, degree, k):
     # the longest production expansions of the bench's query mix: covers
-    # with terms down to -20, and a base link of degree 5684
+    # with terms down to -20, and a base link of degree 5684; the plane
+    # curve's cover divides (t^11 - 1)^91 out of a numerator that is zero
+    # on 9 of the 11 residue classes
     div = milnor_orlik_divisor(WeightSystem(weights, degree))
     if k is not None:
         div = cover_divisor(div, k)
     assert oracle_expand(div) == char_poly_from_divisor(div)
+
+
+def test_plane_curve_cover_has_its_closed_form():
+    # 91 lam(22) - 91 lam(11) - lam(2) + lam(1) is (t^11 + 1)^91 / (t + 1)
+    div = cover_divisor(milnor_orlik_divisor(WeightSystem((1, 1, 1), 11)), 2)
+    assert div == OrlikDivisor({22: 91, 11: -91, 2: -1, 1: 1})
+    numerator = [0] * 1002
+    for m in range(92):
+        numerator[11 * m] = comb(91, m)
+    quotient = [numerator[0]]  # synthetic division by t + 1, from the bottom
+    for a in numerator[1:-1]:
+        quotient.append(a - quotient[-1])
+    assert quotient[-1] == numerator[-1]  # remainder 0
+    assert len(quotient) == 1001
+    assert char_poly_from_divisor(div) == quotient
 
 
 def test_degree_identity():

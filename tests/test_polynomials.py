@@ -2,6 +2,7 @@
 
 import math
 import random
+from itertools import accumulate
 
 import pytest
 
@@ -105,6 +106,40 @@ def test_divexact_binomial_power_remainder_in_one_residue_class():
         assert poly.divexact_binomial_power(bumped, 3, 1) == once
         with pytest.raises(NotAPolynomialError, match="leaves a remainder"):
             poly.divexact_binomial_power(bumped, 3, 2)
+
+
+def test_divexact_binomial_power_remainder_in_an_all_zero_class():
+    # (t + 3 t^8)(t^4 - 1)^2 has length 17 and only zeros in the classes 2
+    # and 3 mod 4, each four slots long
+    grown = poly.mul_binomial_power([0, 1, 0, 0, 0, 0, 0, 0, 3], 4, 2)
+    assert not any(grown[2::4]) and not any(grown[3::4])
+    for r in (2, 3):
+        for inner in (r + 4, r + 8):  # one t^inner, neither first nor last in its class
+            bumped = list(grown)
+            bumped[inner] += 1
+            with pytest.raises(NotAPolynomialError, match="leaves a remainder"):
+                poly.divexact_binomial_power(bumped, 4, 2)
+        bumped = list(grown)  # t^r - t^(r+8) = -t^r (t^4 - 1)(t^4 + 1): the class sums to 0
+        bumped[r] += 1
+        bumped[r + 8] -= 1
+        with pytest.raises(NotAPolynomialError, match="leaves a remainder"):
+            poly.divexact_binomial_power(bumped, 4, 2)
+
+
+def test_divexact_binomial_power_skips_all_zero_classes(monkeypatch):
+    # (t - 1)(t^22 - 1)^91 lives in the classes 0 and 1 mod 11: dividing out
+    # (t^11 - 1)^91 takes 91 running-sum passes over each, none over the other 9
+    passes = []
+
+    def counting(values):
+        passes.append(len(values))
+        return accumulate(values)
+
+    grown = poly.mul_binomial_power([-1, 1], 22, 91)
+    monkeypatch.setattr(poly, "accumulate", counting)
+    quotient = poly.divexact_binomial_power(grown, 11, 91)
+    assert len(passes) == 2 * 91
+    assert poly.mul_binomial_power(quotient, 11, 91) == grown and len(quotient) == 1003
 
 
 def test_divexact_binomial_power_degree_below_j_c():
