@@ -9,12 +9,12 @@ k^(2g), g the genus of the base curve.
 
 ``cover_weights`` builds the cover's weight system for any k > 1, and
 ``build_cover`` then rejects a k sharing a factor with d.  It assembles the
-cover's record from the lam(k) - 1 product, then raises the first failing
-``cover_checks`` result: the cover divisor computed directly from the
-4-variable weight system must agree with it, b_2 must vanish, and the
-printed |H_2| must be k^(2g).  The redundancy is the point: every cover
-built is a self-test of the whole pipeline, and ``verify`` sweeps the same
-checks.
+cover's record from the lam(k) - 1 product, then raises the first error
+``cover_checks`` yields, each built only when its check fails: the cover
+divisor computed directly from the 4-variable weight system must agree
+with it, b_2 must vanish, and the printed |H_2| must be k^(2g).  The
+redundancy is the point: every cover built is a self-test of the whole
+pipeline, and ``verify`` sweeps the same checks.
 """
 
 from __future__ import annotations
@@ -28,7 +28,6 @@ from .errors import (
     CrossCheckError,
     InputError,
     TwoPathMismatchError,
-    raise_if_failed,
     require_digits,
     require_int,
 )
@@ -100,21 +99,24 @@ def cover_torsion_order(k: int, genus: int) -> int:
 
 
 def cover_checks(base, genus, k, via_relation, order, system):
-    """The cover's cross-checks as (ok, error class, template, args) tuples.
+    """The cover's cross-checks, one item each: None, or the error it found.
 
     The direct divisor of ``system`` against ``via_relation`` (left out when
     ``system`` is None), b_2 = 0, and the order law on ``order``, the torsion
     order the caller read off ``via_relation``: ``build_cover`` raises the
-    first failure, ``verify`` counts them all.
+    first error, ``verify`` counts them all.
     """
     if system is not None:
         ok = milnor_orlik_divisor(system) == via_relation
-        yield ok, TwoPathMismatchError, "{}, k={}: cover divisor paths disagree", (base, k)
+        yield None if ok else TwoPathMismatchError(
+            f"{base}, k={k}: cover divisor paths disagree"
+        )
     b_2 = via_relation.coefficient_sum()
-    yield b_2 == 0, CrossCheckError, "{}, k={}: b_2 = {}, expected 0", (base, k, b_2)
+    yield None if b_2 == 0 else CrossCheckError(f"{base}, k={k}: b_2 = {b_2}, expected 0")
     ok = order == cover_torsion_order(k, genus)
-    args = (base, k, order, k, genus)
-    yield ok, CrossCheckError, "{}, k={}: torsion order {} != {}^(2*{})", args
+    yield None if ok else CrossCheckError(
+        f"{base}, k={k}: torsion order {order} != {k}^(2*{genus})"
+    )
 
 
 def build_cover(base: WeightSystem, k: int, *, skip_direct_path: bool = False) -> CoverLink:
@@ -123,10 +125,10 @@ def build_cover(base: WeightSystem, k: int, *, skip_direct_path: bool = False) -
     A k sharing a factor with the base degree raises ``CoprimalityError``.
     The cover's record is assembled from (lam(k) - 1) times the base divisor,
     its torsion-digit bound included, before any check runs.  The first
-    failing ``cover_checks`` result then raises its consistency error: the
-    divisor computed from the 4-variable weight system differs, b_2 is not
-    0, or the record's |H_2| is not k^(2g).  Each would contradict what the
-    construction guarantees for gcd(d, k) = 1.
+    error ``cover_checks`` yields is then raised: the divisor computed from
+    the 4-variable weight system differs, b_2 is not 0, or the record's
+    |H_2| is not k^(2g).  Each would contradict what the construction
+    guarantees for gcd(d, k) = 1.
 
     ``skip_direct_path`` drops the direct computation, leaving ``paths_agree``
     None.  It saves almost nothing, since the direct product has at most
@@ -140,8 +142,9 @@ def build_cover(base: WeightSystem, k: int, *, skip_direct_path: bool = False) -
     via = cover_divisor(base_inv.divisor, k)
     inv = invariants_from_divisor(system, via)
     direct_system = None if skip_direct_path else system
-    for check in cover_checks(base, base_inv.genus, k, via, inv.delta_at_one, direct_system):
-        raise_if_failed(*check)
+    for error in cover_checks(base, base_inv.genus, k, via, inv.delta_at_one, direct_system):
+        if error:
+            raise error
     return CoverLink(k, base_inv, inv, paths_agree=None if skip_direct_path else True)
 
 

@@ -69,12 +69,6 @@ def require_int(value, minimum, message, error=InputError):
         raise error(f"{message}, got {value!r}")
 
 
-def raise_if_failed(ok, error, template, args):
-    """Raise ``error(template.format(*args))`` for a failed cross-check tuple."""
-    if not ok:
-        raise error(template.format(*args))
-
-
 # below the 4300 digits Python converts an int to a string by default, with
 # room for the error of a floating-point estimate
 MAX_ORDER_DIGITS = 4000

@@ -38,7 +38,6 @@ from .errors import (
     InputError,
     NotAPolynomialError,
     NotASmoothCurveError,
-    raise_if_failed,
     require_digits,
 )
 from .weights import WeightSystem
@@ -117,22 +116,23 @@ def link_divisor(ws: WeightSystem) -> OrlikDivisor:
     return div
 
 
-def genus_betti_check(ws: WeightSystem, genus: int, div: OrlikDivisor) -> tuple:
-    """b_1 = 2g, as the (ok, error class, template, args) tuple ``verify`` counts."""
+def genus_betti_check(ws: WeightSystem, genus: int, div: OrlikDivisor) -> Exception | None:
+    """b_1 = 2g: None when it holds, else the ``CrossCheckError`` built only then."""
     b_1 = div.coefficient_sum()
-    args = (ws, b_1, genus)
-    return b_1 == 2 * genus, CrossCheckError, "{}: multiplicity {} != 2 * genus {}", args
+    if b_1 != 2 * genus:
+        return CrossCheckError(f"{ws}: multiplicity {b_1} != 2 * genus {genus}")
+    return None
 
 
-def expansion_check(ws: WeightSystem, div: OrlikDivisor, p: list, value) -> tuple:
+def expansion_check(ws: WeightSystem, div: OrlikDivisor, p: list, value) -> Exception | None:
     """p has degree sum_j j c_j, and p(1) is ``value`` = prod_j j^{c_j} if sum_j c_j = 0, else 0.
 
-    Returned as the (ok, error class, template, args) tuple ``verify`` counts.
+    None when both hold, else the ``CrossCheckError`` built only then.
     """
     got = (len(p) - 1, sum(p))
     expected = (div.polynomial_degree(), 0 if div.coefficient_sum() else value)
     template = "{}: expansion has degree {} and value {} at t = 1, the divisor gives {} and {}"
-    return got == expected, CrossCheckError, template, (ws, *got, *expected)
+    return None if got == expected else CrossCheckError(template.format(ws, *got, *expected))
 
 
 def char_poly_from_divisor(div: OrlikDivisor) -> list:
@@ -228,7 +228,8 @@ def invariants_from_divisor(ws: WeightSystem, div: OrlikDivisor) -> LinkInvarian
     char_poly = None
     if div.polynomial_degree() <= MAX_POLY_DEGREE:
         char_poly = char_poly_from_divisor(div)
-        raise_if_failed(*expansion_check(ws, div, char_poly, delta_at_one))
+        if error := expansion_check(ws, div, char_poly, delta_at_one):
+            raise error
     return LinkInvariants(ws, div, mult, char_poly, delta_at_one, genus)
 
 
@@ -240,6 +241,6 @@ def link_invariants(ws: WeightSystem) -> LinkInvariants:
     independently of the divisor, must then pass ``genus_betti_check``.
     """
     inv = invariants_from_divisor(ws, link_divisor(ws))
-    if inv.genus is not None:
-        raise_if_failed(*genus_betti_check(ws, inv.genus, inv.divisor))
+    if inv.genus is not None and (error := genus_betti_check(ws, inv.genus, inv.divisor)):
+        raise error
     return inv

@@ -13,8 +13,8 @@ Every check that can fail is counted rather than raised, so one bad cell
 does not hide the rest; the last three properties count
 ``invariants.genus_betti_check``, ``expansion_check`` and
 ``cover.cover_checks``, which ``link`` and ``cover`` raise on.  Each check
-is one ``record(ok, template, *args)`` call, and a failure's description
-is formatted only when it is kept.
+is one ``record(failure)`` call, where ``failure`` is None or the error or
+text describing it, built only when the check fails.
 """
 
 from __future__ import annotations
@@ -44,8 +44,8 @@ MAX_VERIFY_K = 200
 class PropertyCheck:
     """Counts of one property's checks, and the first failures' descriptions.
 
-    ``record(ok, template, *args)`` counts one check; a failure within the
-    cap is kept as ``template.format(*args)``.
+    ``record(failure)`` counts one check, which passed when ``failure`` is
+    None; a failure within the cap is kept as ``str(failure)``.
     """
 
     def __init__(self, name: str):
@@ -54,12 +54,12 @@ class PropertyCheck:
         self.failed = 0
         self.failures = []
 
-    def record(self, ok: bool, template: str, *args):
+    def record(self, failure):
         self.checked += 1
-        if not ok:
+        if failure is not None:
             self.failed += 1
             if len(self.failures) < _FAILURE_CAP:
-                self.failures.append(template.format(*args))
+                self.failures.append(str(failure))
 
     @property
     def ok(self) -> bool:
@@ -92,7 +92,8 @@ def check_group_ring_relation(max_index: int) -> PropertyCheck:
     check = PropertyCheck("group_ring_relation")
     for a in range(1, max_index + 1):
         for b in range(1, max_index + 1):
-            check.record(relation_holds(a, b), "relation fails for lam({}) * lam({})", a, b)
+            ok = relation_holds(a, b)
+            check.record(None if ok else f"relation fails for lam({a}) * lam({b})")
     return check
 
 
@@ -100,8 +101,7 @@ def check_genus_betti_duality(grid) -> PropertyCheck:
     """``invariants.genus_betti_check``, b_1 = 2g, on every row of the grid."""
     check = PropertyCheck("genus_betti_duality")
     for ws, g, div in grid:
-        ok, _error, template, args = genus_betti_check(ws, g, div)
-        check.record(ok, template, *args)
+        check.record(genus_betti_check(ws, g, div))
     return check
 
 
@@ -121,13 +121,12 @@ def check_oracle_agreement(grid) -> PropertyCheck:
             oracle = oracle_expand(div)
             value = div.reduced_value_at_one()
         except NotAPolynomialError as exc:
-            check.record(False, "{}: {}", ws, exc)
+            check.record(f"{ws}: {exc}")
             continue
-        check.record(pipeline == oracle, "{}: polynomial expansions disagree", ws)
-        ok, _error, template, args = expansion_check(ws, div, oracle, value)
-        check.record(ok, template, *args)
+        check.record(None if pipeline == oracle else f"{ws}: polynomial expansions disagree")
+        check.record(expansion_check(ws, div, oracle, value))
         shifted = poly.shifted_coefficient(oracle, div.coefficient_sum())
-        check.record(shifted == value, "{}: value at t = 1 came out {}", ws, shifted)
+        check.record(None if shifted == value else f"{ws}: value at t = 1 came out {shifted}")
     return check
 
 
@@ -144,11 +143,10 @@ def check_cover_two_path(grid, max_k: int) -> PropertyCheck:
                 try:
                     order = via.reduced_value_at_one()
                 except NotAPolynomialError as exc:
-                    check.record(False, "{}, k={}: {}", ws, k, exc)
+                    check.record(f"{ws}, k={k}: {exc}")
                     continue
-                checks = cover_checks(ws, g, k, via, order, cover_weights(ws, k))
-                for ok, _error, template, args in checks:
-                    check.record(ok, template, *args)
+                for failure in cover_checks(ws, g, k, via, order, cover_weights(ws, k)):
+                    check.record(failure)
     return check
 
 

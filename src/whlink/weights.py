@@ -9,9 +9,9 @@ index of the quotient orbifold.
 
 from __future__ import annotations
 
-from math import gcd
+from math import gcd, log10
 
-from .errors import InputError, NotASmoothCurveError, require_int
+from .errors import InputError, NotASmoothCurveError, require_digits, require_int
 
 
 def genus_formula(w1: int, w2: int, w3: int, d: int) -> int | None:
@@ -89,8 +89,10 @@ class WeightSystem:
         return out
 
     def fano_index(self) -> int:
-        """Sum of the weights, the positivity index of the base orbifold."""
-        return sum(self.weights)
+        """Sum of the weights, the base orbifold's positivity index: InputError past 4000 digits."""
+        fano = sum(self.weights)
+        require_digits(fano.bit_length() * log10(2), "the Fano index")
+        return fano
 
     def genus(self) -> int:
         """Genus of the curve cut out by the weight system, by ``genus_formula``.

@@ -359,7 +359,7 @@ def test_verify_failure_is_an_error_line(capsys, monkeypatch):
 
     def failing(max_degree, max_k):
         check = PropertyCheck("oracle_agreement")
-        check.record(False, "synthetic mismatch")
+        check.record("synthetic mismatch")
         return VerificationReport(max_degree, max_k, 1, 0, [check])
 
     monkeypatch.setattr("whlink.cli.run_verification", failing)
@@ -437,6 +437,8 @@ _PRIMORIAL_5300 = prod(
 
 # a degree of 4290 digits, and the cover exponent one above it
 _D4290 = 10**4289 + 7
+# the largest int of 4300 digits, as many as Python turns into a string
+_W4300 = 10**4300 - 1
 
 
 def _brieskorn_pham(*exponents):
@@ -489,6 +491,8 @@ _BP14 = (2, 4, 8, 16, 32, 64, 3, 9, 27, 81, 5, 25, 7, 11)
         (["link", *_brieskorn_pham(*_BP14)], "numerator has more than 1000000 digits"),
         # 6720 terms, which the link gate would take seconds to test
         (["link", *_brieskorn_pham(*_BP14, 13, 17, 19, 23)], "more than 1000 terms"),
+        # a linear cone, so both gates pass, but its Fano index _W4300 + 2 has 4301 digits
+        (["genus", "--weights", f"1,1,{_W4300}", "--degree", str(_W4300)], "Fano index"),
     ],
     ids=[
         "cover-large-k",
@@ -507,6 +511,7 @@ _BP14 = (2, 4, 8, 16, 32, 64, 3, 9, 27, 81, 5, 25, 7, 11)
         "cover-large-genus-and-k",
         "link-many-weights-huge-torsion-product",
         "link-many-divisor-terms",
+        "genus-huge-fano-index",
     ],
 )
 def test_oversized_inputs_are_input_errors(capsys, argv, reason):

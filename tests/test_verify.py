@@ -52,6 +52,21 @@ def test_oracle_agreement_counts_a_wrong_oracle(monkeypatch):
     assert check.failures[0].endswith(": polynomial expansions disagree")
 
 
+def test_a_passing_sweep_formats_no_failure_text(monkeypatch):
+    # every failure text names its weight system, so a text built for a
+    # check that passed shows as a call to WeightSystem.__str__
+    grid = build_grid(8)[0]
+    calls = []
+    monkeypatch.setattr(WeightSystem, "__str__", lambda self: calls.append(self) or "ws")
+    checks = [
+        check_genus_betti_duality(grid),
+        check_oracle_agreement(grid),
+        check_cover_two_path(grid, 5),
+    ]
+    assert all(check.ok and check.checked for check in checks)
+    assert calls == []
+
+
 CUBIC = WeightSystem((1, 1, 1), 3)
 CUBIC_ROW = (CUBIC, 1, link_divisor(CUBIC))
 
