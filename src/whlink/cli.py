@@ -7,16 +7,20 @@ no arguments that prints the text form, called only in text mode.
 to exit codes, and exits 2 after printing a payload whose ``"ok"`` is
 false (a failed ``verify``).  The JSON is byte-stable across identical
 invocations (sorted keys, canonical orderings, big integers as base-10
-strings).  Exit codes: 0 success, 1 invalid input, 2 internal
-consistency failure.  An error is one line on stderr: in JSON mode an
-object with its ``class``, ``error`` and ``exit_code``, in text mode
-``whlink: <reason>``.  argparse usage errors are always text.
+strings).  Exit codes: 0 success, 1 invalid input or output that could
+not be written, 2 internal consistency failure.  An error is one line on
+stderr: in JSON mode an object with its ``class``, ``error`` and
+``exit_code``, in text mode ``whlink: <reason>``.  argparse usage errors
+are always text.  A reader that closes the pipe early ends the run with
+exit code 1 and no message.
 """
 
 from __future__ import annotations
 
 import argparse
+import errno
 import json
+import os
 import sys
 from functools import cache
 
@@ -261,6 +265,20 @@ def build_parser() -> _Parser:
     return parser
 
 
+def _print_error(exc: Exception, reason: str, code: int, fmt: str) -> int:
+    fields = {"class": type(exc).__name__, "error": reason, "exit_code": code}
+    line = json.dumps(fields, sort_keys=True) if fmt == "json" else f"whlink: {reason}"
+    print(line, file=sys.stderr)
+    return code
+
+
+def _drop_stdout() -> None:
+    """Point stdout at the null device, so the flush at exit cannot fail again."""
+    devnull = os.open(os.devnull, os.O_WRONLY)
+    os.dup2(devnull, sys.stdout.fileno())
+    os.close(devnull)
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     try:
@@ -273,16 +291,19 @@ def main(argv=None) -> int:
             _emit_json(payload)
         else:
             write_text()
+        sys.stdout.flush()
         if payload.get("ok") is False:
             raise CrossCheckError("verification failed")
         return 0
     except WhlinkError as exc:
         code = 1 if isinstance(exc, InputError) else 2
         reason = str(exc) if code == 1 else f"internal consistency failure: {exc}"
-        fields = {"class": type(exc).__name__, "error": reason, "exit_code": code}
-        line = json.dumps(fields, sort_keys=True) if args.format == "json" else f"whlink: {reason}"
-        print(line, file=sys.stderr)
-        return code
+        return _print_error(exc, reason, code, args.format)
+    except OSError as exc:  # stdout closed or full
+        _drop_stdout()
+        if exc.errno == errno.EPIPE:
+            return 1
+        return _print_error(exc, f"cannot write output: {exc.strerror or exc}", 1, args.format)
 
 
 def entry_point() -> None:

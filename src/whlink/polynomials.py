@@ -16,15 +16,17 @@ none of its shortcuts.
 
 ``shifted_coefficient`` is the oracle's read-out of the value at t = 1.  It
 shares nothing with ``OrlikDivisor.reduced_value_at_one``, the product of
-the j^{c_j} it is checked against: it sums p_i * C(i, m) over the oracle's
-coefficients in blocks of 16 indices, summing each block over a small
-common denominator and multiplying by the big binomial once per block.
+the j^{c_j} it is checked against: it reads sum_i p_i * C(i, m) off the
+first differences of the oracle's coefficients, which vanish along the
+long runs that a divided-out (t - 1) leaves, and steps the one big
+binomial across each gap between the nonzero ones.
 """
 
 from __future__ import annotations
 
-from itertools import accumulate
+from itertools import accumulate, compress, count
 from math import prod
+from operator import sub
 
 from .errors import NotAPolynomialError
 
@@ -112,37 +114,29 @@ def long_divmod(num: list, den: list) -> tuple:
     return trim(quot), trim(rem)
 
 
-_BLOCK = 16  # indices per block of ``shifted_coefficient``; 16 to 64 time within 15%, 8 slower
-
-
 def shifted_coefficient(p: list, m: int):
     """Coefficient of s^m in p(1 + s), namely sum_i p_i * C(i, m).
 
     When (t - 1)^m divides p this is the value of p(t) / (t - 1)^m at
-    t = 1, read off in a single pass instead of m long divisions.  The
-    indices i >= m go in blocks of ``_BLOCK`` starting at a = m, where
-    C(i, m) = C(a, m) * prod_{a<k<=i} k / (k - m): each block's terms are
-    summed by Horner over the small denominator prod (k - m), and the big
-    binomial C(a, m) multiplies that sum once, with one exact division.
+    t = 1, read off in a single pass instead of m long divisions.  As
+    (t - 1) p(t) is s p(1 + s) at t = 1 + s, the sum is also
+    sum_i (p_{i-1} - p_i) * C(i, m + 1), over the first differences of p,
+    of which only the nonzero ones at i > m count.  C(i, m + 1) is stepped
+    from one such index a to the next i by the exact ratio
+    prod_{a<k<=i} k / (k - m - 1).
     """
     if m < 0:
         raise ValueError("shifted_coefficient expects a non-negative order")
-    n = len(p)
+    tail = p[m:]
+    diffs = list(map(sub, tail, tail[1:] + [0]))  # p_{i-1} - p_i for i = m + 1, m + 2, ...
     total = 0
-    binom = 1
-    for a in range(m, n, _BLOCK):
-        b = min(a + _BLOCK, n)
-        # sum_{a<=i<b} p_i prod_{a<k<=i} k / (k - m) as num / den, from the top
-        num = p[b - 1]
-        den = 1
-        for i in range(b - 2, a - 1, -1):
-            den *= i + 1 - m
-            num *= i + 1
-            if p[i]:
-                num += p[i] * den
-        total += binom * num // den
-        if b < n:  # step to C(b, m); den is prod_{a<k<b} (k - m) by now
-            binom = binom * prod(range(a + 1, b + 1)) // (den * (b - m))
+    a = m + 1
+    binom = 1  # C(a, m + 1)
+    for i, d in zip(compress(count(a), diffs), filter(None, diffs)):
+        if i > a:
+            binom = binom * prod(range(a + 1, i + 1)) // prod(range(a - m, i - m))
+            a = i
+        total += d * binom
     return total
 
 

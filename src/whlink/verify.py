@@ -29,15 +29,15 @@ from .invariants import char_poly_from_divisor, expansion_check, genus_betti_che
 from .realization import iter_integral_genus_systems
 
 _FAILURE_CAP = 10
-# Figures from a 2-vCPU Xeon VM, whose speed varies by about a third from
-# run to run.  The grid grows as d^4 in the degree bound: `whlink verify`
-# takes 11 s at --max-degree 40 and 28 s at 48 for the whole process, all
-# but 3 s of it in the oracle stage; the (1,1,1; 48) oracle cell alone
-# takes 2.3 s, and (1,1,1; 64) 16 s.
+# Figures from a 2-vCPU Intel Xeon VM with Python 3.11.7, whose speed
+# varies by about a third from run to run.  The grid grows as d^4 in the
+# degree bound: `whlink verify` takes 5 s at --max-degree 40 and 12 s at 48
+# for the whole process, all but about 1.5 s of it in the oracle stage; the
+# (1,1,1; 48) oracle cell alone takes 1.0 s, and (1,1,1; 64) 6 s.
 MAX_VERIFY_DEGREE = 48
-# The cover stage grows linearly in the cover bound, about 0.18 s per unit
+# The cover stage grows linearly in the cover bound, about 0.09 s per unit
 # of --max-k at --max-degree 48: `whlink verify --max-degree 48 --max-k 200`
-# takes 61 s for the whole process, at 75 MiB resident.
+# takes 28 s for the whole process, at 78 MiB resident.
 MAX_VERIFY_K = 200
 
 

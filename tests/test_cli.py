@@ -28,11 +28,16 @@ def run_json(capsys, *argv):
 ROOT = pathlib.Path(__file__).parent.parent
 
 
+def src_env(**extra):
+    """The environment, with src first on PYTHONPATH and ``extra`` set."""
+    path = os.environ.get("PYTHONPATH")
+    src = os.pathsep.join(filter(None, [str(ROOT / "src"), path]))
+    return dict(os.environ, PYTHONPATH=src, **extra)
+
+
 def fresh_interpreter(*argv):
     """Run ``python *argv`` in a separate interpreter that imports whlink from src."""
-    path = os.environ.get("PYTHONPATH")
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(ROOT / "src"), path])))
-    return subprocess.run([sys.executable, *argv], capture_output=True, env=env, timeout=60)
+    return subprocess.run([sys.executable, *argv], capture_output=True, env=src_env(), timeout=60)
 
 
 def test_python_dash_m_runs_the_entry_point():
@@ -402,6 +407,49 @@ def test_verify_with_a_wrong_relation_path_prints_then_exits_2(capsys, plant_cov
     assert code == 2
     assert "cover_two_path: " in out and "failures [FAILED]" in out
     assert_error_line("text", err, 2, "verification failed")
+
+
+# an empty PYTHONUNBUFFERED leaves stdout block-buffered, so a short output
+# fails only in the flush; "1" makes each print write at once
+@pytest.mark.parametrize("unbuffered", ["", "1"], ids=["buffered", "unbuffered"])
+def test_a_pipe_closed_after_the_first_line_exits_1_quietly(unbuffered):
+    # 1.3 MB of JSON, far more than a pipe holds, so whlink is still
+    # writing when the reader closes its end
+    argv = ["-m", "whlink", "primes", "--limit", "3000000", "--format", "json"]
+    proc = subprocess.Popen(
+        [sys.executable, *argv],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env=src_env(PYTHONUNBUFFERED=unbuffered),
+    )
+    assert proc.stdout.readline() == b"{\n"
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert (proc.wait(timeout=60), err) == (1, b"")
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full on this platform")
+@pytest.mark.parametrize("unbuffered", ["", "1"], ids=["buffered", "unbuffered"])
+@pytest.mark.parametrize("fmt", ["json", "text"])
+def test_a_full_stdout_is_one_error_line_and_exit_1(fmt, unbuffered):
+    with open("/dev/full", "wb") as full:
+        done = subprocess.run(
+            [sys.executable, "-m", "whlink", "smale-enum", "4096", "--format", fmt],
+            stdout=full,
+            stderr=subprocess.PIPE,
+            env=src_env(PYTHONUNBUFFERED=unbuffered),
+            timeout=60,
+        )
+    err = done.stderr.decode()
+    assert done.returncode == 1
+    assert err.count("\n") == 1 and "Traceback" not in err
+    if fmt == "json":
+        error = json.loads(err)
+        assert (error["class"], error["exit_code"]) == ("OSError", 1)
+        assert error["error"].startswith("cannot write output: ")
+    else:
+        assert err.startswith("whlink: cannot write output: ")
 
 
 def test_fractional_divisor_systems_are_input_errors(capsys):

@@ -179,17 +179,28 @@ def binomial_sum(p, m):
 
 @pytest.mark.parametrize("excess", [-1, 0, 1, 15, 16, 17, 33])
 def test_shifted_coefficient_matches_binomial_sum(excess):
-    # len(p) - m on both sides of the 16-index blocks, with zero, negative
-    # and ~500-digit coefficients
+    # len(p) = m + excess, so m >= len(p) for excess <= 0; m = 0 included.
+    # The read-out walks the nonzero first differences p_{i-1} - p_i at
+    # i > m and steps C(i, m + 1) across the gaps between them: a run of
+    # equal coefficients has no difference inside it, a zero gap longer
+    # than m is one long step, and trailing zeros (a list not trimmed) end
+    # in a difference of -p_top.  Coefficients are zero, small, negative or
+    # of about 500 digits
     rng = random.Random(excess)
     big = 10**500
+
+    def coefficients(count):
+        return [rng.choice((0, rng.randint(-9, 9), rng.randint(-big, big))) for _ in range(count)]
+
     for m in (0, 1, 2, 15, 16, 40):
-        for _ in range(10):
-            p = [
-                rng.choice((0, rng.randint(-9, 9), rng.randint(-big, big)))
-                for _ in range(max(0, m + excess))
-            ]
-            assert poly.shifted_coefficient(p, m) == binomial_sum(p, m)
+        n = max(0, m + excess)
+        for _ in range(5):
+            dense = coefficients(n)
+            runs = [c for c in coefficients(n) for _ in range(rng.randint(1, 30))]
+            gaps = [v for c in coefficients(n) for v in [c] + [0] * (m + rng.randint(1, 9))]
+            trailing = dense + [0] * rng.randint(1, m + 3)
+            for p in (dense, runs[:n], gaps[:n], trailing):
+                assert poly.shifted_coefficient(p, m) == binomial_sum(p, m)
 
 
 def test_shifted_coefficient_edge_cases():

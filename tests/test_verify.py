@@ -6,10 +6,12 @@ The failure-text tests pin each of the nine checks' description exactly.
 """
 
 from itertools import zip_longest
-from math import gcd, lcm
+from math import comb, gcd, lcm
+from operator import sub
 
 import pytest
 
+from whlink.cli import main
 from whlink.cover import build_cover
 from whlink.divisor import OrlikDivisor, lam
 from whlink.errors import CrossCheckError, NotAPolynomialError, TwoPathMismatchError
@@ -127,6 +129,22 @@ def test_oracle_agreement_failure_texts(monkeypatch):
         "w=(1,1,1; d=3): expansion has degree 0 and value 1 at t = 1, the divisor gives 8 and 0",
         "w=(1,1,1; d=3): value at t = 1 came out 0",
     ]
+
+
+def test_a_read_out_one_order_too_low_fails_verify(monkeypatch, capsys):
+    # the first differences weighted by C(i, m) instead of C(i, m + 1) give
+    # the coefficient of s^(m - 1) in p(1 + s), which is 0 where (t - 1)^m
+    # divides p, and the divisor's value at t = 1 is never 0: every row fails
+    def one_order_too_low(p, m):
+        return sum(d * comb(i, m) for i, d in enumerate(map(sub, [0] + p, p + [0])))
+
+    monkeypatch.setattr("whlink.polynomials.shifted_coefficient", one_order_too_low)
+    grid = build_grid(12)[0]
+    check = check_oracle_agreement(grid)
+    assert (check.checked, check.failed) == (3 * len(grid), len(grid))
+    assert all(f.endswith(": value at t = 1 came out 0") for f in check.failures)
+    assert main(["verify", "--max-degree", "12"]) == 2
+    assert "oracle_agreement: " in capsys.readouterr().out
 
 
 # the expansion of (1,1,1; 3), (t^2 + t + 1)^3 (t - 1)^2, with a last coefficient of 2
