@@ -80,7 +80,8 @@ def cover_weights(base: WeightSystem, k: int) -> WeightSystem:
         raise InputError("covers are built over 3-variable weight systems")
     require_int(k, 2, _EXPONENT)
     d = base.degree
-    system = WeightSystem((d,) + tuple(k * w for w in base.weights), k * d)
+    w1, w2, w3 = base.weights
+    system = WeightSystem((d, k * w1, k * w2, k * w3), k * d)
     largest = max(system.weights + (system.degree,))
     require_digits(largest.bit_length() * log10(2), "a cover weight or degree")
     return system

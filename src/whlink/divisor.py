@@ -27,11 +27,6 @@ from math import gcd, lcm
 from .errors import InvalidIndexError, NotAPolynomialError, require_int
 
 
-def _normalized(terms: dict) -> dict:
-    """Canonical coefficient storage: no zero coefficients."""
-    return {j: c for j, c in terms.items() if c}
-
-
 class OrlikDivisor:
     """A finitely supported integer combination of the generators lam(j).
 
@@ -46,14 +41,14 @@ class OrlikDivisor:
         for j, c in terms.items():
             require_int(j, 1, "generator index must be a positive integer", InvalidIndexError)
             require_int(c, None, "coefficient must be an int", TypeError)
-        object.__setattr__(self, "_terms", _normalized(terms))
+        object.__setattr__(self, "_terms", {j: c for j, c in terms.items() if c})
 
     @classmethod
     def _raw(cls, terms: dict) -> "OrlikDivisor":
         # trusted fast path for products and program-built term maps:
         # indices and coefficients are valid, only zero pruning is needed
         self = object.__new__(cls)
-        object.__setattr__(self, "_terms", _normalized(terms))
+        object.__setattr__(self, "_terms", {j: c for j, c in terms.items() if c})
         return self
 
     # -- immutability / equality -----------------------------------------
@@ -76,7 +71,7 @@ class OrlikDivisor:
 
     def items(self):
         """Term pairs (j, coefficient), sorted by descending index."""
-        return sorted(self._terms.items(), key=lambda t: -t[0])
+        return sorted(self._terms.items(), reverse=True)  # indices are unique
 
     def __repr__(self):
         body = ", ".join(f"{j}: {c}" for j, c in self.items())

@@ -155,22 +155,25 @@ def char_poly_from_divisor(div: OrlikDivisor) -> list:
 def oracle_expand(div: OrlikDivisor) -> list:
     """Expand the same product by brute force, oracle route.
 
-    Builds numerator and denominator through repeated schoolbook products
-    of two-term factors and finishes with ordinary long division.  Shares
-    no shortcut with ``char_poly_from_divisor``; the two must agree bit for
-    bit on every divisor that encodes a polynomial.
+    Each factor (t^j - 1)^{|c_j|} is a block, the schoolbook power of t - 1
+    inflated to stride j.  The positive blocks are multiplied together, then
+    each negative one is divided out by long division, largest j first, and
+    the first remainder raises ``NotAPolynomialError``: as every block is
+    monic, that refuses exactly what one division by their product would.
+    The route shares ``char_poly_from_divisor``'s factor order but none of
+    its arithmetic; the two must agree bit for bit on every divisor that
+    encodes a polynomial.
     """
-    num, den = [1], [1]
+    num = [1]
     for j, c in sorted(div.items()):
-        block = poly.inflate(poly.power([-1, 1], abs(c)), j)
         if c > 0:
-            num = poly.mul(num, block)
-        else:
-            den = poly.mul(den, block)
-    quot, rem = poly.long_divmod(num, den)
-    if rem:
-        raise NotAPolynomialError("divisor does not encode a polynomial")
-    return quot
+            num = poly.mul(num, poly.inflate(poly.power([-1, 1], c), j))
+    for j, c in div.items():  # largest j first
+        if c < 0:
+            num, rem = poly.long_divmod(num, poly.inflate(poly.power([-1, 1], -c), j))
+            if rem:
+                raise NotAPolynomialError("divisor does not encode a polynomial")
+    return num
 
 
 class LinkInvariants(NamedTuple):

@@ -4,9 +4,11 @@ A polynomial is a plain list of arbitrary-precision ints, constant term
 first, with no trailing zeros; the zero polynomial is the empty list.
 
 Two deliberately separate tool sets live here.  The generic routines
-(``mul``, ``power``, ``long_divmod``) do schoolbook arithmetic and back the
-brute-force oracle only; ``power`` squares and multiplies over the bits of
-the exponent and never uses a binomial recurrence.  The shaped routines
+(``mul``, ``power``, ``long_divmod``) do schoolbook arithmetic on any
+polynomials and back the brute-force oracle only; ``mul`` and
+``long_divmod`` list the nonzero terms of their second argument once and
+walk only those, and ``power`` squares and multiplies over the bits of the
+exponent and never uses a binomial recurrence.  The shaped routines
 (``mul_binomial_power``, ``divexact_binomial_power``) exploit the
 two-term structure of t^j - 1 and back the production pipeline: the product
 walks only p's nonzero terms, and the division works residue class by
@@ -18,15 +20,16 @@ none of its shortcuts.
 shares nothing with ``OrlikDivisor.reduced_value_at_one``, the product of
 the j^{c_j} it is checked against: it reads sum_i p_i * C(i, m) off the
 first differences of the oracle's coefficients, which vanish along the
-long runs that a divided-out (t - 1) leaves, and steps the one big
-binomial across each gap between the nonzero ones.
+long runs that a divided-out (t - 1) leaves.  It forms a difference only
+where neighbouring coefficients differ, and steps the one big binomial
+across each gap between those places.
 """
 
 from __future__ import annotations
 
 from itertools import accumulate, compress, count
 from math import prod
-from operator import sub
+from operator import ne
 
 from .errors import NotAPolynomialError
 
@@ -41,15 +44,15 @@ def trim(p: list) -> list:
 
 
 def mul(a: list, b: list) -> list:
-    """Schoolbook product, skipping zero coefficients."""
+    """Schoolbook product: b's nonzero terms are listed once, and each nonzero a_i walks those."""
     if not a or not b:
         return []
     out = [0] * (len(a) + len(b) - 1)
+    terms = [(k, bk) for k, bk in enumerate(b) if bk]
     for i, ai in enumerate(a):
         if ai:
-            for k, bk in enumerate(b):
-                if bk:
-                    out[i + k] += ai * bk
+            for k, bk in terms:
+                out[i + k] += ai * bk
     return trim(out)
 
 
@@ -121,22 +124,23 @@ def shifted_coefficient(p: list, m: int):
     t = 1, read off in a single pass instead of m long divisions.  As
     (t - 1) p(t) is s p(1 + s) at t = 1 + s, the sum is also
     sum_i (p_{i-1} - p_i) * C(i, m + 1), over the first differences of p,
-    of which only the nonzero ones at i > m count.  C(i, m + 1) is stepped
-    from one such index a to the next i by the exact ratio
-    prod_{a<k<=i} k / (k - m - 1).
+    of which only the nonzero ones at i > m count.  One ``map(ne, ...)``
+    pass finds the indices where p_{i-1} and p_i differ, and only there is
+    the difference formed.  C(i, m + 1) is stepped from one such index a to
+    the next i by the exact ratio prod_{a<k<=i} k / (k - m - 1).
     """
     if m < 0:
         raise ValueError("shifted_coefficient expects a non-negative order")
     tail = p[m:]
-    diffs = list(map(sub, tail, tail[1:] + [0]))  # p_{i-1} - p_i for i = m + 1, m + 2, ...
+    after = tail[1:] + [0]  # p_{i-1} in tail pairs with p_i in after, i = m + 1, m + 2, ...
     total = 0
     a = m + 1
     binom = 1  # C(a, m + 1)
-    for i, d in zip(compress(count(a), diffs), filter(None, diffs)):
+    for i, before, here in compress(zip(count(a), tail, after), map(ne, tail, after)):
         if i > a:
             binom = binom * prod(range(a + 1, i + 1)) // prod(range(a - m, i - m))
             a = i
-        total += d * binom
+        total += (before - here) * binom
     return total
 
 

@@ -19,6 +19,7 @@ from whlink import (
     milnor_orlik_divisor,
     oracle_expand,
 )
+from whlink import polynomials as poly
 from whlink.verify import build_grid
 
 POINCARE = WeightSystem((15, 10, 6), 30)
@@ -153,6 +154,27 @@ def test_plane_curve_cover_has_its_closed_form():
     assert quotient[-1] == numerator[-1]  # remainder 0
     assert len(quotient) == 1001
     assert char_poly_from_divisor(div) == quotient
+
+
+def test_oracle_divides_one_block_at_a_time(monkeypatch):
+    # (1,2,2; 24) is (t^24 - 1)^121 / ((t^12 - 1)^10 (t - 1)).  One long
+    # division by the product of the denominator blocks takes 2784 steps of
+    # its 21 lower terms, 58,464 multiply-subtracts; dividing by each block,
+    # largest j first, takes 2785 steps of 10 and then 2784 of 1
+    div = milnor_orlik_divisor(WeightSystem((1, 2, 2), 24))
+    assert div == OrlikDivisor({24: 121, 12: -10, 1: -1})
+    calls = []
+    long_divmod = poly.long_divmod
+
+    def recording(num, den):
+        calls.append((len(num), den))
+        return long_divmod(num, den)
+
+    monkeypatch.setattr(poly, "long_divmod", recording)
+    assert oracle_expand(div) == char_poly_from_divisor(div)
+    assert [den for _n, den in calls] == [poly.inflate(poly.power([-1, 1], 10), 12), [-1, 1]]
+    work = sum((n - len(den) + 1) * (len(den) - den.count(0) - 1) for n, den in calls)
+    assert work == 30_634
 
 
 def test_degree_identity():

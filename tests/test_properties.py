@@ -16,6 +16,7 @@ from whlink import (
     cover_weights,
     lam,
     milnor_orlik_divisor,
+    oracle_expand,
 )
 from whlink import polynomials as poly
 
@@ -244,3 +245,55 @@ def test_poly_division_round_trip(coeffs, stride, j, c):
     p = poly.inflate(poly.trim(list(coeffs)), stride)
     grown = poly.mul_binomial_power(p, j, c)
     assert poly.divexact_binomial_power(grown, j, c) == p
+
+
+def one_shot_oracle(div):
+    # every negative block multiplied together, then one long division
+    num, den = [1], [1]
+    for j, c in sorted(div.items()):
+        block = poly.inflate(poly.power([-1, 1], abs(c)), j)
+        if c > 0:
+            num = poly.mul(num, block)
+        else:
+            den = poly.mul(den, block)
+    quot, rem = poly.long_divmod(num, den)
+    if rem:
+        raise NotAPolynomialError("divisor does not encode a polynomial")
+    return quot
+
+
+def expansion_or_refusal(expand, div):
+    try:
+        return expand(div)
+    except NotAPolynomialError as exc:
+        return type(exc), str(exc)
+
+
+def quotient_divisor(pairs):
+    # the sum of the lam(a b) - lam(a), each the divisor of (t^{ab} - 1) / (t^a - 1):
+    # a polynomial's divisor, with negative terms whenever some b > 1
+    terms = Counter()
+    for a, b in pairs:
+        terms[a * b] += 1
+        terms[a] -= 1
+    return OrlikDivisor(dict(terms))
+
+
+quotient_divisors = st.lists(
+    st.tuples(st.integers(min_value=1, max_value=12), st.integers(min_value=1, max_value=6)),
+    max_size=5,
+).map(quotient_divisor)
+
+
+@given(st.one_of(divisors, lattice_divisors, quotient_divisors))
+@example(OrlikDivisor({6: 1, 3: -1, 2: -1}))  # t^3 + 1 is left, and t^2 - 1 does not divide it
+@example(OrlikDivisor({12: 1, 6: -1, 4: -1, 1: 1}))  # t^4 - 1 leaves a remainder after t^6 - 1
+@example(OrlikDivisor({4: 1, 3: -1}))  # t^3 - 1, the first block, leaves t - 1
+@example(OrlikDivisor({12: 2, 6: -2, 4: -2, 2: 2, 1: 1}))  # Phi_12^2 Phi_1
+@settings(max_examples=300)
+def test_oracle_divides_as_one_long_division_would(div):
+    # dividing block by block, largest j first, against one division by the
+    # product of the blocks: the same quotient, or both refuse
+    expected = expansion_or_refusal(one_shot_oracle, div)
+    assert expansion_or_refusal(oracle_expand, div) == expected
+    assert isinstance(expected, list) == div.encodes_polynomial()
