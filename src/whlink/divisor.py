@@ -41,14 +41,15 @@ class OrlikDivisor:
         for j, c in terms.items():
             require_int(j, 1, "generator index must be a positive integer", InvalidIndexError)
             require_int(c, None, "coefficient must be an int", TypeError)
-        object.__setattr__(self, "_terms", {j: c for j, c in terms.items() if c})
+        _set_terms(self, {j: c for j, c in terms.items() if c})
 
     @classmethod
     def _raw(cls, terms: dict) -> "OrlikDivisor":
-        # trusted fast path for products and program-built term maps:
-        # indices and coefficients are valid, only zero pruning is needed
+        # trusted fast path for products and program-built term maps: the
+        # caller hands over a fresh map of valid indices and coefficients,
+        # which is kept as it is unless it holds a zero to prune
         self = object.__new__(cls)
-        object.__setattr__(self, "_terms", {j: c for j, c in terms.items() if c})
+        _set_terms(self, {j: c for j, c in terms.items() if c} if 0 in terms.values() else terms)
         return self
 
     # -- immutability / equality -----------------------------------------
@@ -161,6 +162,10 @@ class OrlikDivisor:
         ``den`` is always "1"; it is kept for format stability.
         """
         return [{"j": j, "num": str(c), "den": "1"} for j, c in sorted(self._terms.items())]
+
+
+# the slot's own setter, past the class's __setattr__, which refuses every write
+_set_terms = OrlikDivisor._terms.__set__
 
 
 def lam(j: int) -> OrlikDivisor:

@@ -70,14 +70,14 @@ def milnor_orlik_divisor(ws: WeightSystem) -> OrlikDivisor | None:
 
     A weight equal to d gives the ratio 1 / 1 and the factor lam(1) - 1 = 0,
     so such a system, a linear cone, returns the zero divisor at once,
-    whatever its other ratios: the expansion would cancel to zero anyway.
+    before any ratio is reduced and whatever the others are: the expansion
+    would cancel to zero anyway.
     """
-    ratios = ws.reduced_ratios()
-    if (1, 1) in ratios:
+    if ws.degree in ws.weights:  # the ratio d / w_i = 1 / 1
         return OrlikDivisor._raw({})
     terms = {1: 1}
     denominator = 1
-    for u, v in ratios:
+    for u, v in ws.reduced_ratios():
         expanded = {}
         for index, c in terms.items():
             g = gcd(index, u)

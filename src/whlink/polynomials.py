@@ -8,7 +8,11 @@ Two deliberately separate tool sets live here.  The generic routines
 polynomials and back the brute-force oracle only; ``mul`` and
 ``long_divmod`` list the nonzero terms of their second argument once and
 walk only those, and ``power`` squares and multiplies over the bits of the
-exponent and never uses a binomial recurrence.  The shaped routines
+exponent and never uses a binomial recurrence.  Each square is taken by
+halves: the bottom half of a^2 directly, and the top half as the reversed
+bottom half of the square of a written backwards, which for a palindrome
+or antipalindrome such as a power of t - 1 is the same half again, so it is
+not formed twice.  The shaped routines
 (``mul_binomial_power``, ``divexact_binomial_power``) exploit the
 two-term structure of t^j - 1 and back the production pipeline: the product
 walks only p's nonzero terms, and the division works residue class by
@@ -56,23 +60,41 @@ def mul(a: list, b: list) -> list:
     return trim(out)
 
 
-def _square(a: list) -> list:
-    """Schoolbook square: each cross product a_i a_k, i < k, formed once and doubled."""
+def _low_square(a: list) -> list:
+    """Coefficients 0 ... len(a) - 1 of a^2, each cross product a_i a_k, i < k, formed once."""
     n = len(a)
-    out = [0] * (2 * n - 1)
-    for i, ai in enumerate(a):
+    out = [0] * n
+    for i, ai in enumerate(a[: (n + 1) // 2]):  # 2 i <= n - 1
         if ai:
             out[2 * i] += ai * ai
             twice = 2 * ai
-            for k in range(i + 1, n):
+            for k in range(i + 1, n - i):
                 ak = a[k]
                 if ak:
                     out[i + k] += twice * ak
-    return trim(out)
+    return out
+
+
+def _square(a: list) -> list:
+    """Schoolbook square, computed by halves.
+
+    Coefficient 2n - 2 - m of a^2, n = len(a), is coefficient m of rev(a)^2,
+    where rev(a) lists a backwards, so the top n - 1 coefficients are the
+    reversed bottom half of rev(a)^2.  When rev(a) = +-a, as for every power
+    of t - 1, rev(a)^2 = a^2 and that second half-square is skipped.
+    """
+    low = _low_square(a)
+    rev = a[::-1]
+    high = low if rev == a or rev == [-c for c in a] else _low_square(rev)
+    return trim(low + high[-2::-1])  # high[n - 2], ..., high[0]
 
 
 def power(base: list, n: int) -> list:
-    """base^n by square-and-multiply over the bits of n, schoolbook products only."""
+    """base^n by square-and-multiply over the bits of n, schoolbook products only.
+
+    Each square is taken by halves (``_square``); a power of a palindrome
+    or antipalindrome such as t - 1 is one, so it costs one half-square.
+    """
     if n < 0:
         raise ValueError("power expects a non-negative exponent")
     out = [1]

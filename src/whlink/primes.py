@@ -15,8 +15,8 @@ answered with less than certainty.
 ``factorize`` strips the primes below 2**10 with one gcd against their
 product, splits what is left with Pollard's rho in Brent's form (BIT 20,
 1980) wherever ``is_prime`` can certify the pieces, and trial-divides up to
-10**6 where it cannot; either way a number is accepted or rejected by the
-same rule, read off the part of it that has no prime factor below 10**6.
+10**6 where it cannot.  A number is accepted when every prime found is
+certified, by ``is_prime`` or by the trial division that found it.
 """
 
 from __future__ import annotations
@@ -239,17 +239,19 @@ def factorize(k: int) -> list:
     """Prime factorization as ascending (prime, exponent) pairs.
 
     The primes below 2**10 are stripped with one gcd first; what is left is
-    split by Brent's rho into pieces ``is_prime`` certifies, and a piece rho
+    split by Brent's rho into pieces ``is_prime`` certifies.  A piece rho
     cannot split, or one past ``is_prime``'s range, is trial-divided up to
-    10**6.  Let r be k with every prime factor below 10**6 divided out: k
-    is accepted iff r = 1, r < 10**12 (so r is prime) or ``is_prime(r)``.
-    A composite r is rejected as out of range, and an r past ``is_prime``'s
-    range gets its error.  The answer is checked to multiply back to k
-    before it is returned; ``ConsistencyError`` if it does not.
+    10**6, and what that leaves of it must be 1 or a prime ``is_prime``
+    certifies.  So k is accepted iff every prime found is certified.  Let r
+    be k with every prime factor below 10**6 divided out: a composite that
+    is left is rejected as an out-of-range cofactor r, and one past
+    ``is_prime``'s range gets its error.  The answer is checked to multiply
+    back to k before it is returned; ``ConsistencyError`` if it does not.
     """
     require_int(k, 1, "factorization is defined for positive integers")
     found, rest = _strip_small_primes(k)
     pieces = [rest] if rest > 1 else []
+    unsplit = []
     while pieces:
         n = pieces.pop()
         certifiable = n < _MR_PROVEN_BOUND
@@ -264,20 +266,16 @@ def factorize(k: int) -> list:
         more, n = _trial_divide(n, _SMALL_PRIME_LIMIT + 1, _TRIAL_LIMIT)
         found += more
         if n > 1:
+            # no prime factor below 10**6 is left in n, which is certified below
             found.append((n, 1))
+            unsplit.append(n)
+    if not all(map(is_prime, unsplit)):
+        r = prod(p**e for p, e in found if p >= _TRIAL_LIMIT)
+        raise InputError(f"cannot factor {k}: cofactor {r} is out of range")
     exponents = {}
-    r = 1
     for p, e in found:
-        if p >= _TRIAL_LIMIT:
-            r *= p**e
-        else:
-            exponents[p] = exponents.get(p, 0) + e
+        exponents[p] = exponents.get(p, 0) + e
     out = sorted(exponents.items())
-    if r > 1:
-        if r < _TRIAL_LIMIT * _TRIAL_LIMIT or is_prime(r):
-            out.append((r, 1))
-        else:
-            raise InputError(f"cannot factor {k}: cofactor {r} is out of range")
     if prod(p**e for p, e in out) != k or any(a >= b for (a, _), (b, _) in pairwise(out)):
         raise ConsistencyError(f"factorizing {k} gave {out}, not ascending primes with product {k}")
     return out

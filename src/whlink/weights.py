@@ -53,11 +53,15 @@ class WeightSystem:
         weights = tuple(weights)
         if len(weights) < 2:
             raise InputError("a weight system needs at least two weights")
+        # an exact int >= 1 passes inline; anything else goes to require_int,
+        # which accepts an int subclass and raises for the rest
         for w in weights:
-            require_int(w, 1, "weights must be positive integers")
-        require_int(degree, 1, "degree must be a positive integer")
-        object.__setattr__(self, "weights", weights)
-        object.__setattr__(self, "degree", degree)
+            if type(w) is not int or w < 1:
+                require_int(w, 1, "weights must be positive integers")
+        if type(degree) is not int or degree < 1:
+            require_int(degree, 1, "degree must be a positive integer")
+        _set_weights(self, weights)
+        _set_degree(self, degree)
 
     def __setattr__(self, name, value):
         raise AttributeError("WeightSystem is immutable")
@@ -121,3 +125,7 @@ class WeightSystem:
     def as_json(self) -> dict:
         return {"weights": list(self.weights), "degree": self.degree}
 
+
+# the slots' own setters, past the class's __setattr__, which refuses every write
+_set_weights = WeightSystem.weights.__set__
+_set_degree = WeightSystem.degree.__set__

@@ -201,6 +201,16 @@ def test_immutability():
     d = lam(3)
     with pytest.raises(AttributeError):
         d._terms = {}
+    assert d == lam(3)
+
+
+def test_a_product_that_cancels_keeps_no_zero():
+    # lam(2) lam(2) = 2 lam(2) and -2 lam(1) lam(2) = -2 lam(2)
+    product = OrlikDivisor({2: 1, 1: -2}) * lam(2)
+    assert product == OrlikDivisor() and len(product) == 0
+    assert product._terms == {}
+    partly = OrlikDivisor({2: 1, 1: -2, 3: 1}) * lam(2)
+    assert partly._terms == {6: 1}
 
 
 def test_json_round_trip():

@@ -1,15 +1,18 @@
 """Factorization against the rule README states for it, computed by sympy.
 
-Let r be the product of k's prime powers at or past 10**6.  ``factorize``
-accepts k iff r = 1, r < 10**12, or r is a prime below psi_13, and then
-returns k's prime factorization; an r at or past psi_13 gets ``is_prime``'s
-range error, and any other r is rejected as an out-of-range cofactor.
-``stated_rule`` computes that outcome from ``sympy.factorint`` and
-``sympy.isprime``, which share no code with whlink, and every test here
-requires ``factorize`` to give exactly the same pairs, or to raise the same
-error class with the same message.  ``test_planted_faults_are_reported``
-shows that the comparison can fail: three wrong factorizers each depart
-from the rule on the inputs used here.
+Let s be k with its prime factors below 2**10 divided out, and r with those
+below 10**6 divided out.  ``factorize`` splits an s below psi_13 with
+Brent's rho, trial-divides what rho cannot split and any s past psi_13 up
+to 10**6, and accepts k iff every prime it finds is certified.  So an r at
+or past psi_13 gets ``is_prime``'s range error, an r that is 1 or prime is
+always accepted, and a composite r is accepted when rho splits it and
+rejected as an out-of-range cofactor when rho cannot, as for every s past
+psi_13.  ``stated_rule`` computes the outcomes that leaves from
+``sympy.factorint`` and ``sympy.isprime``, which share no code with
+whlink, and every test here requires ``factorize`` to give one of them:
+exactly the same pairs, or the same error class with the same message.
+``test_planted_faults_are_reported`` shows that the comparison can fail:
+three wrong factorizers each depart from the rule on the inputs used here.
 """
 
 import random
@@ -27,17 +30,29 @@ from whlink import InputError, factorize, primes
 _TRIAL_LIMIT = 10**6
 PSI_12 = 318665857834031151167461
 PSI_13 = 3317044064679887385961981
+# Brent's rho, with the budget factorize gives it, split off the smaller
+# prime of each of 21,500 sampled products p * q with 10**6 < p < 3.17 * 10**6
+# < q, and first failed near 4 * 10**6: so a composite r is taken to be split
+# when every prime factor of s but its largest is below this, and every k
+# below 10**13 is.
+RHO_REACH = 3_170_000
 
 
-def stated_rule(k: int):
-    """What ``factorize(k)`` must give: its pairs, or (error class, message)."""
+def stated_rule(k: int) -> list:
+    """What ``factorize(k)`` may give: its pairs, and/or (error class, message)."""
     pairs = sorted(factorint(k).items())
     r = prod(p**e for p, e in pairs if p >= _TRIAL_LIMIT)
-    if r < _TRIAL_LIMIT * _TRIAL_LIMIT or (r < PSI_13 and isprime(r)):
-        return pairs
     if r >= PSI_13:
-        return InputError, f"{r} exceeds the deterministically proven primality range"
-    return InputError, f"cannot factor {k}: cofactor {r} is out of range"
+        return [(InputError, f"{r} exceeds the deterministically proven primality range")]
+    if r == 1 or isprime(r):
+        return [pairs]
+    rejected = (InputError, f"cannot factor {k}: cofactor {r} is out of range")
+    s_primes = [p for p, e in pairs if p >= 2**10 for _ in range(e)]
+    if prod(s_primes) >= PSI_13:
+        return [rejected]  # trial division alone, which leaves r whole
+    if s_primes[-2] < RHO_REACH:
+        return [pairs]
+    return [pairs, rejected]
 
 
 def outcome(factorizer, k):
@@ -49,7 +64,7 @@ def outcome(factorizer, k):
 
 def mismatches(ks):
     """The k in ``ks`` on which ``primes.factorize`` departs from the rule."""
-    return [k for k in ks if outcome(primes.factorize, k) != stated_rule(k)]
+    return [k for k in ks if outcome(primes.factorize, k) not in stated_rule(k)]
 
 
 def random_primes(rng, lo, hi, count):
@@ -118,37 +133,57 @@ def test_edge_shapes(k):
     assert mismatches([k]) == []
 
 
+def test_certified_composite_cofactors_are_accepted():
+    assert factorize(1000006000009) == [(1000003, 2)]
+    assert factorize(999983 * 1000003 * 1000033) == [(999983, 1), (1000003, 1), (1000033, 1)]
+
+
 def test_composite_cofactor_is_named():
+    # rho cannot split psi_12 = 399165290221 * 798330580441, and trial
+    # division up to 10**6 leaves it whole
     with pytest.raises(InputError) as exc:
-        factorize(999983 * 1000003 * 1000033)
+        factorize(6 * PSI_12)
     assert str(exc.value) == (
-        "cannot factor 1000018999486998317: cofactor 1000036000099 is out of range"
+        "cannot factor 1911995147004186907004766: cofactor 318665857834031151167461 is out of range"
     )
+
+
+@cache
+def past_psi_13():
+    # a prime between 10**5 and the trial limit times one past psi_13: rho
+    # never runs, and trial division must reach the smaller prime
+    rng = random.Random(14)
+    return [p * nextprime(PSI_13) for p in random_primes(rng, 10**5 + 100, 10**6, 4)]
+
+
+def test_trial_division_past_psi_13():
+    assert mismatches(past_psi_13()) == []
 
 
 @given(st.integers(min_value=1, max_value=10**13 - 1))
 @settings(deadline=None)
 def test_agrees_with_stated_rule(k):
-    assert outcome(factorize, k) == stated_rule(k)
+    assert outcome(factorize, k) in stated_rule(k)
 
 
-def every_factor_certified(k):
-    # accepts a composite r below psi_13 once it is split into certified
-    # primes, as a rule of "every prime factor certified" would
-    pairs = sorted(factorint(k).items())
-    if prod(p**e for p, e in pairs if p >= _TRIAL_LIMIT) < PSI_13:
-        return pairs
-    return factorize(k)
+def prime_cofactor_only(k):
+    # the rule before every certified prime was accepted: r must be 1, below
+    # 10**12 or a prime, so a certified prime power past 10**6 is refused
+    pairs = factorize(k)
+    r = prod(p**e for p, e in pairs if p >= _TRIAL_LIMIT)
+    if r >= _TRIAL_LIMIT * _TRIAL_LIMIT and not isprime(r):
+        raise InputError(f"cannot factor {k}: cofactor {r} is out of range")
+    return pairs
 
 
 def test_planted_faults_are_reported(monkeypatch):
     # each wrong factorizer departs from the rule on a test's own inputs
     with monkeypatch.context() as m:
-        m.setattr(primes, "factorize", every_factor_certified)
+        m.setattr(primes, "factorize", prime_cofactor_only)
         assert mismatches(prime_powers()) == prime_powers()
     with monkeypatch.context() as m:
         m.setattr(primes, "_TRIAL_LIMIT", 10**5)
-        assert mismatches(semiprimes()) == semiprimes()
+        assert mismatches(past_psi_13()) == past_psi_13()
     with monkeypatch.context() as m:
         # is_prime without its range error
         m.setattr(primes, "_MR_PROVEN_BOUND", 10**100)

@@ -177,6 +177,19 @@ def test_oracle_divides_one_block_at_a_time(monkeypatch):
     assert work == 30_634
 
 
+def test_linear_cone_is_answered_before_any_ratio_is_reduced(monkeypatch):
+    # (1,4,6; 8) alone leaves a fractional product, and the weight 8 = d
+    # makes (1,4,6,8; 8) a linear cone, whose divisor is zero
+    assert milnor_orlik_divisor(WeightSystem((1, 4, 6), 8)) is None
+
+    def refused(ws):
+        raise AssertionError(f"reduced_ratios called for {ws}")
+
+    monkeypatch.setattr(WeightSystem, "reduced_ratios", refused)
+    div = milnor_orlik_divisor(WeightSystem((1, 4, 6, 8), 8))
+    assert div == OrlikDivisor() and len(div) == 0
+
+
 def test_degree_identity():
     for div in (CUBIC_DIVISOR, POINCARE_DIVISOR, HAND_DIVISOR):
         assert len(char_poly_from_divisor(div)) - 1 == div.polynomial_degree()

@@ -5,6 +5,8 @@ import random
 from itertools import accumulate
 
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from whlink import NotAPolynomialError
 from whlink import polynomials as poly
@@ -25,6 +27,69 @@ def test_mul():
 def test_power_is_pascal():
     assert poly.power([-1, 1], 4) == [1, -4, 6, -4, 1]
     assert poly.power([-1, 1], 0) == [1]
+
+
+def every_product_square(a):
+    """a^2 with every product a_i a_k formed, i and k each running over all of a."""
+    out = [0] * (2 * len(a) - 1) if a else []
+    for i, ai in enumerate(a):
+        for k, ak in enumerate(a):
+            out[i + k] += ai * ak
+    return poly.trim(out)
+
+
+coefficient = st.integers(min_value=-99, max_value=99)
+nonzero = coefficient.filter(bool)
+# no trailing zero, as ``power`` keeps its operands
+polynomials = st.lists(coefficient, max_size=30).map(poly.trim)
+zero_constant_term = st.builds(lambda a, top: [0, *a, top], st.lists(coefficient), nonzero)
+
+
+@st.composite
+def mirrored(draw):
+    """A palindrome or an antipalindrome, of odd or even length."""
+    half = [draw(nonzero), *draw(st.lists(coefficient, max_size=15))]
+    sign = draw(st.sampled_from((1, -1)))
+    middle = [draw(coefficient) if sign == 1 else 0] if draw(st.booleans()) else []
+    return half + middle + [sign * c for c in reversed(half)]
+
+
+@given(polynomials | zero_constant_term | mirrored())
+@example([7])
+@example([-3])
+@example([2, -5])
+@example([0, 4])
+@example([-1, 1])
+@example([6, 6])
+def test_square_by_halves_forms_every_product(a):
+    assert poly._square(a) == every_product_square(a)
+
+
+def test_power_of_t_minus_one_is_signed_binomials():
+    for n in [*range(65), 127, 128, 129, 255, 256, 257, 511, 512, 513, 599, 600]:
+        assert poly.power([-1, 1], n) == [(-1) ** (n - i) * math.comb(n, i) for i in range(n + 1)]
+
+
+def test_square_skips_the_mirrored_half_only_for_plus_or_minus_palindromes(monkeypatch):
+    calls = []
+    low_square = poly._low_square
+
+    def recording(a):
+        calls.append(a)
+        return low_square(a)
+
+    monkeypatch.setattr(poly, "_low_square", recording)
+    for a in ([1, -4, 6, -4, 1], [-1, 3, -3, 1], [2, 0, 2], [5, 0, -5], [3], [4, 4], [1, -1]):
+        calls.clear()
+        assert poly._square(a) == every_product_square(a)
+        assert calls == [a]
+    for a in ([1, 2], [1, 2, 1, 1], [0, 1], [2, 0, 3], [1, -1, 1, 1]):
+        calls.clear()
+        assert poly._square(a) == every_product_square(a)
+        assert calls == [a, a[::-1]]
+    calls.clear()
+    poly.power([-1, 1], 600)
+    assert len(calls) == (600).bit_length()
 
 
 def test_inflate():

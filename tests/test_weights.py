@@ -1,5 +1,6 @@
 """Unit tests for weight systems and the genus formula."""
 
+from enum import IntEnum
 from fractions import Fraction
 from math import gcd
 
@@ -141,6 +142,40 @@ def test_validation():
         WeightSystem((1, True, 1), 3)
     with pytest.raises(InputError):
         WeightSystem((1, 1, 1), 3.0)
+
+
+@pytest.mark.parametrize("bad", [True, 2.0, 0, -1])
+def test_rejections_keep_their_class_and_message(bad):
+    # an exact int >= 1 passes inline, and anything else gets require_int's
+    # InputError and message, for a weight and for the degree alike
+    with pytest.raises(InputError) as exc:
+        WeightSystem((1, bad, 2), 5)
+    assert type(exc.value) is InputError
+    assert str(exc.value) == f"weights must be positive integers, got {bad!r}"
+    with pytest.raises(InputError) as exc:
+        WeightSystem((1, 2, 3), bad)
+    assert type(exc.value) is InputError
+    assert str(exc.value) == f"degree must be a positive integer, got {bad!r}"
+
+
+class Weight(IntEnum):
+    TWO = 2
+    SIX = 6
+
+
+def test_int_subclasses_are_accepted():
+    ws = WeightSystem((1, Weight.TWO, 3), Weight.SIX)
+    assert ws.weights == (1, Weight.TWO, 3) and ws.degree is Weight.SIX
+    assert ws == WeightSystem((1, 2, 3), 6)
+
+
+def test_immutability():
+    ws = WeightSystem((1, 2, 3), 7)
+    with pytest.raises(AttributeError):
+        ws.degree = 8
+    with pytest.raises(AttributeError):
+        ws.weights = (1, 1, 1)
+    assert (ws.weights, ws.degree) == ((1, 2, 3), 7)
 
 
 def test_json_round_trip():
