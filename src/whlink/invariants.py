@@ -167,10 +167,10 @@ def oracle_expand(div: OrlikDivisor) -> list:
     num = [1]
     for j, c in sorted(div.items()):
         if c > 0:
-            num = poly.mul(num, poly.inflate(poly.power([-1, 1], c), j))
+            num = poly.mul(num, poly.inflate(poly.t_minus_one_power(c), j))
     for j, c in div.items():  # largest j first
         if c < 0:
-            num, rem = poly.long_divmod(num, poly.inflate(poly.power([-1, 1], -c), j))
+            num, rem = poly.long_divmod(num, poly.inflate(poly.t_minus_one_power(-c), j))
             if rem:
                 raise NotAPolynomialError("divisor does not encode a polynomial")
     return num

@@ -2,17 +2,17 @@
 
 A polynomial is a plain list of arbitrary-precision ints, constant term
 first, with no trailing zeros; the zero polynomial is the empty list.
+No routine checks its arguments: every exponent and order passed is at
+least 0, every stride at least 1, and every divisor nonempty and monic.
 
-Two deliberately separate tool sets live here.  The generic routines
-(``mul``, ``power``, ``long_divmod``) do schoolbook arithmetic on any
-polynomials and back the brute-force oracle only; ``mul`` and
-``long_divmod`` list the nonzero terms of their second argument once and
-walk only those, and ``power`` squares and multiplies over the bits of the
-exponent and never uses a binomial recurrence.  Each square is taken by
-halves: the bottom half of a^2 directly, and the top half as the reversed
-bottom half of the square of a written backwards, which for a palindrome
-or antipalindrome such as a power of t - 1 is the same half again, so it is
-not formed twice.  The shaped routines
+Two deliberately separate tool sets live here.  The schoolbook routines
+(``mul``, ``t_minus_one_power``, ``inflate``, ``long_divmod``) back the
+brute-force oracle only; ``mul`` and ``long_divmod`` list the nonzero
+terms of their second argument once and walk only those, and
+``t_minus_one_power`` squares and multiplies over the bits of the exponent
+and never uses a binomial recurrence.  As every power of t - 1 reads the
+same backwards up to sign, each square is a palindrome, so only its bottom
+half is formed and the top half is that half mirrored.  The shaped routines
 (``mul_binomial_power``, ``divexact_binomial_power``) exploit the
 two-term structure of t^j - 1 and back the production pipeline: the product
 walks only p's nonzero terms, and the division works residue class by
@@ -49,8 +49,6 @@ def trim(p: list) -> list:
 
 def mul(a: list, b: list) -> list:
     """Schoolbook product: b's nonzero terms are listed once, and each nonzero a_i walks those."""
-    if not a or not b:
-        return []
     out = [0] * (len(a) + len(b) - 1)
     terms = [(k, bk) for k, bk in enumerate(b) if bk]
     for i, ai in enumerate(a):
@@ -75,58 +73,33 @@ def _low_square(a: list) -> list:
     return out
 
 
-def _square(a: list) -> list:
-    """Schoolbook square, computed by halves.
+def t_minus_one_power(c: int) -> list:
+    """(t - 1)^c by square-and-multiply over the bits of c, schoolbook products only.
 
-    Coefficient 2n - 2 - m of a^2, n = len(a), is coefficient m of rev(a)^2,
-    where rev(a) lists a backwards, so the top n - 1 coefficients are the
-    reversed bottom half of rev(a)^2.  When rev(a) = +-a, as for every power
-    of t - 1, rev(a)^2 = a^2 and that second half-square is skipped.
+    (t - 1)^m reads the same backwards up to the sign (-1)^m, so its square
+    is a palindrome: the top half is the bottom half (``_low_square``)
+    mirrored.
     """
-    low = _low_square(a)
-    rev = a[::-1]
-    high = low if rev == a or rev == [-c for c in a] else _low_square(rev)
-    return trim(low + high[-2::-1])  # high[n - 2], ..., high[0]
-
-
-def power(base: list, n: int) -> list:
-    """base^n by square-and-multiply over the bits of n, schoolbook products only.
-
-    Each square is taken by halves (``_square``); a power of a palindrome
-    or antipalindrome such as t - 1 is one, so it costs one half-square.
-    """
-    if n < 0:
-        raise ValueError("power expects a non-negative exponent")
     out = [1]
-    for bit in bin(n)[2:]:
-        out = _square(out)
+    for bit in bin(c)[2:]:
+        low = _low_square(out)
+        out = low + low[-2::-1]  # all but the middle coefficient, mirrored
         if bit == "1":
-            out = mul(out, base)
+            out = mul(out, [-1, 1])
     return out
 
 
 def inflate(p: list, j: int) -> list:
-    """Substitute t^j for the variable: coefficient i moves to slot j*i."""
-    if j < 1:
-        raise ValueError("inflate expects a positive stride")
-    if not p or j == 1:
-        return list(p)
+    """Substitute t^j for the variable, j >= 1: coefficient i moves to slot j*i."""
     out = [0] * (j * (len(p) - 1) + 1)
-    for i, c in enumerate(p):
-        out[j * i] = c
+    out[::j] = p
     return out
 
 
 def long_divmod(num: list, den: list) -> tuple:
     """Quotient and remainder by a monic divisor, ordinary long division."""
-    if not den:
-        raise ZeroDivisionError("polynomial division by zero")
-    if den[-1] != 1:
-        raise ValueError("long_divmod expects a monic divisor")
     rem = list(num)
     dn = len(den) - 1
-    if len(rem) - 1 < dn:
-        return [], trim(rem)
     quot = [0] * (len(rem) - dn)
     support = [(i, c) for i, c in enumerate(den) if c and i != dn]
     for k in range(len(quot) - 1, -1, -1):
@@ -151,8 +124,6 @@ def shifted_coefficient(p: list, m: int):
     the difference formed.  C(i, m + 1) is stepped from one such index a to
     the next i by the exact ratio prod_{a<k<=i} k / (k - m - 1).
     """
-    if m < 0:
-        raise ValueError("shifted_coefficient expects a non-negative order")
     tail = p[m:]
     after = tail[1:] + [0]  # p_{i-1} in tail pairs with p_i in after, i = m + 1, m + 2, ...
     total = 0
@@ -174,10 +145,6 @@ def mul_binomial_power(p: list, j: int, c: int) -> list:
     polynomial-by-polynomial product.  p's nonzero terms are listed once,
     and each of the c + 1 binomial rows walks only those.
     """
-    if c < 0:
-        raise ValueError("mul_binomial_power expects a non-negative exponent")
-    if not p:
-        return []
     out = [0] * (len(p) + j * c)
     terms = [(i, pi) for i, pi in enumerate(p) if pi]
     binom = 1
@@ -199,8 +166,6 @@ def divexact_binomial_power(p: list, j: int, c: int) -> list:
     class of p that is all zero has an all-zero quotient class and no
     remainder, so it is skipped, and ``out`` keeps its zeros there.
     """
-    if c < 0:
-        raise ValueError("divexact_binomial_power expects a non-negative exponent")
     if not p:
         return []
     factor = f"t^{j} - 1" if c == 1 else f"(t^{j} - 1)^{c}"

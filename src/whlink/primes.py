@@ -33,9 +33,10 @@ _TRIAL_LIMIT = 10**6
 _SMALL_PRIME_LIMIT = 2**10
 _RHO_CONSTANTS = (1, 3)
 # pairs Brent's rho compares per constant: a factor below 10**6 takes about
-# 1300, and a piece rho cannot split costs both constants about a tenth of
-# the trial division that follows
-_RHO_BUDGET = 2**12
+# 1300, the smaller prime of each of 21,000 sampled products with it below
+# 5 * 10**7 was found within it, and a piece rho cannot split costs both
+# constants about a third of the trial division that follows
+_RHO_BUDGET = 2**14
 _RHO_BATCH = 128
 # largest limit primes_4l_minus_1 sieves up to: a 10 MB flag table
 MAX_SIEVE_LIMIT = 10**7

@@ -31,11 +31,11 @@ _TRIAL_LIMIT = 10**6
 PSI_12 = 318665857834031151167461
 PSI_13 = 3317044064679887385961981
 # Brent's rho, with the budget factorize gives it, split off the smaller
-# prime of each of 21,500 sampled products p * q with 10**6 < p < 3.17 * 10**6
-# < q, and first failed near 4 * 10**6: so a composite r is taken to be split
-# when every prime factor of s but its largest is below this, and every k
-# below 10**13 is.
-RHO_REACH = 3_170_000
+# prime of each of 21,000 sampled products p * q, p prime and uniform in
+# (10**6, 5 * 10**7), q a larger prime below 10**13, and first failed near
+# 5.1 * 10**7: so a composite r is taken to be split when every prime factor
+# of s but its largest is below this, and every k below 2.5 * 10**15 is.
+RHO_REACH = 50_000_000
 
 
 def stated_rule(k: int) -> list:
@@ -136,6 +136,9 @@ def test_edge_shapes(k):
 def test_certified_composite_cofactors_are_accepted():
     assert factorize(1000006000009) == [(1000003, 2)]
     assert factorize(999983 * 1000003 * 1000033) == [(999983, 1), (1000003, 1), (1000033, 1)]
+    # rho must split off a prime past 4 * 10**6 here
+    assert factorize(85319556368507) == [(4121561, 1), (20700787, 1)]
+    assert factorize(91305213098051) == [(9421591, 1), (9691061, 1)]
 
 
 def test_composite_cofactor_is_named():

@@ -172,7 +172,7 @@ def test_oracle_divides_one_block_at_a_time(monkeypatch):
 
     monkeypatch.setattr(poly, "long_divmod", recording)
     assert oracle_expand(div) == char_poly_from_divisor(div)
-    assert [den for _n, den in calls] == [poly.inflate(poly.power([-1, 1], 10), 12), [-1, 1]]
+    assert [den for _n, den in calls] == [poly.inflate(poly.t_minus_one_power(10), 12), [-1, 1]]
     work = sum((n - len(den) + 1) * (len(den) - den.count(0) - 1) for n, den in calls)
     assert work == 30_634
 

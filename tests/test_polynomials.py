@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from whlink import NotAPolynomialError
 from whlink import polynomials as poly
+from whlink.verify import build_grid, check_oracle_agreement
 
 
 def test_trim():
@@ -25,8 +26,8 @@ def test_mul():
 
 
 def test_power_is_pascal():
-    assert poly.power([-1, 1], 4) == [1, -4, 6, -4, 1]
-    assert poly.power([-1, 1], 0) == [1]
+    assert poly.t_minus_one_power(4) == [1, -4, 6, -4, 1]
+    assert poly.t_minus_one_power(0) == [1]
 
 
 def every_product_square(a):
@@ -40,7 +41,7 @@ def every_product_square(a):
 
 coefficient = st.integers(min_value=-99, max_value=99)
 nonzero = coefficient.filter(bool)
-# no trailing zero, as ``power`` keeps its operands
+# no trailing zero, as every power of t - 1 that is squared has none
 polynomials = st.lists(coefficient, max_size=30).map(poly.trim)
 zero_constant_term = st.builds(lambda a, top: [0, *a, top], st.lists(coefficient), nonzero)
 
@@ -62,15 +63,26 @@ def mirrored(draw):
 @example([-1, 1])
 @example([6, 6])
 def test_square_by_halves_forms_every_product(a):
-    assert poly._square(a) == every_product_square(a)
+    # the bottom half-square holds for any a, not only the mirrored ones
+    assert poly._low_square(a) == every_product_square(a)[: len(a)]
+
+
+@given(mirrored())
+@example([7])
+@example([-1, 1])
+@example([6, 6])
+def test_mirrored_half_square_is_the_full_square(a):
+    low = poly._low_square(a)
+    assert low + low[-2::-1] == every_product_square(a)
 
 
 def test_power_of_t_minus_one_is_signed_binomials():
     for n in [*range(65), 127, 128, 129, 255, 256, 257, 511, 512, 513, 599, 600]:
-        assert poly.power([-1, 1], n) == [(-1) ** (n - i) * math.comb(n, i) for i in range(n + 1)]
+        signed = [(-1) ** (n - i) * math.comb(n, i) for i in range(n + 1)]
+        assert poly.t_minus_one_power(n) == signed
 
 
-def test_square_skips_the_mirrored_half_only_for_plus_or_minus_palindromes(monkeypatch):
+def test_power_of_t_minus_one_takes_one_half_square_per_bit(monkeypatch):
     calls = []
     low_square = poly._low_square
 
@@ -79,16 +91,7 @@ def test_square_skips_the_mirrored_half_only_for_plus_or_minus_palindromes(monke
         return low_square(a)
 
     monkeypatch.setattr(poly, "_low_square", recording)
-    for a in ([1, -4, 6, -4, 1], [-1, 3, -3, 1], [2, 0, 2], [5, 0, -5], [3], [4, 4], [1, -1]):
-        calls.clear()
-        assert poly._square(a) == every_product_square(a)
-        assert calls == [a]
-    for a in ([1, 2], [1, 2, 1, 1], [0, 1], [2, 0, 3], [1, -1, 1, 1]):
-        calls.clear()
-        assert poly._square(a) == every_product_square(a)
-        assert calls == [a, a[::-1]]
-    calls.clear()
-    poly.power([-1, 1], 600)
+    poly.t_minus_one_power(600)
     assert len(calls) == (600).bit_length()
 
 
@@ -118,17 +121,10 @@ def test_long_divmod_short_numerator():
     assert rem == [5]
 
 
-def test_long_divmod_requires_monic():
-    with pytest.raises(ValueError):
-        poly.long_divmod([1, 0, 1], [1, 2])
-    with pytest.raises(ZeroDivisionError):
-        poly.long_divmod([1], [])
-
-
 def test_mul_binomial_power_matches_generic():
     for j in (1, 2, 5):
         for c in (0, 1, 2, 7):
-            factor = poly.inflate(poly.power([-1, 1], c), j)
+            factor = poly.inflate(poly.t_minus_one_power(c), j)
             seed = [3, 0, -1, 2]
             assert poly.mul_binomial_power(seed, j, c) == poly.mul(seed, factor)
 
@@ -222,14 +218,14 @@ def test_divexact_binomial_power_of_the_empty_polynomial():
 
 def test_shifted_coefficient_strips_unit_roots():
     # p = (t - 1)^2 (t + 2): value of p / (t - 1)^2 at 1 is 3
-    p = poly.mul(poly.power([-1, 1], 2), [2, 1])
+    p = poly.mul(poly.t_minus_one_power(2), [2, 1])
     assert poly.shifted_coefficient(p, 2) == 3
     assert poly.shifted_coefficient(p, 0) == 0  # p(1) = 0
     assert poly.shifted_coefficient([7], 0) == 7
 
 
 def test_shifted_coefficient_agrees_with_division():
-    div3 = poly.power([-1, 1], 3)
+    div3 = poly.t_minus_one_power(3)
     p = poly.mul(div3, [5, 0, 2, 1])
     quot = p
     for _ in range(3):
@@ -274,5 +270,30 @@ def test_shifted_coefficient_edge_cases():
     assert poly.shifted_coefficient([4, -1, 2], 3) == 0  # len(p) <= m
     assert poly.shifted_coefficient([4, -1, 2], 0) == 5  # m = 0 is p(1)
     assert poly.shifted_coefficient([0] * 40, 5) == 0
-    with pytest.raises(ValueError):
-        poly.shifted_coefficient([1, 1], -1)
+
+
+def test_oracle_agreement_keeps_every_helper_precondition(monkeypatch):
+    # The helpers do not check their arguments: both routes promise a
+    # nonempty monic divisor, non-negative exponents and orders, and
+    # strides of at least 1.  Each call of the d <= 16 sweep is recorded
+    calls = {}
+
+    def record(name, index):
+        helper = getattr(poly, name)
+
+        def recording(*args):
+            calls.setdefault(name, []).append(args[index])
+            return helper(*args)
+
+        monkeypatch.setattr(poly, name, recording)
+
+    record("long_divmod", 1)
+    record("inflate", 1)
+    record("shifted_coefficient", 1)
+    for name in ("t_minus_one_power", "mul_binomial_power", "divexact_binomial_power"):
+        record(name, -1)
+    assert check_oracle_agreement(build_grid(16)[0]).ok
+    assert len(calls) == 6
+    assert all(den and den[-1] == 1 for den in calls.pop("long_divmod"))
+    assert min(calls.pop("inflate")) >= 1
+    assert min(min(values) for values in calls.values()) >= 0
