@@ -10,7 +10,7 @@ k^(2g), g the genus of the base curve.
 ``cover_weights`` builds the cover's weight system for any k > 1, and
 ``build_cover`` then rejects a k sharing a factor with d.  It assembles the
 cover's record from the lam(k) - 1 product, then raises the first error
-``cover_checks`` yields, each built only when its check fails: the cover
+``cover_checks`` returns, each built only when its check fails: the cover
 divisor computed directly from the 4-variable weight system must agree
 with it, b_2 must vanish, and the printed |H_2| must be k^(2g).  The
 redundancy is the point: every cover built is a self-test of the whole
@@ -76,15 +76,14 @@ def cover_weights(base: WeightSystem, k: int) -> WeightSystem:
     cover weight or degree of more than ``MAX_ORDER_DIGITS`` digits raises
     ``InputError``.
     """
-    if base.n != 3:
+    if len(base.weights) != 3:
         raise InputError("covers are built over 3-variable weight systems")
     require_int(k, 2, _EXPONENT)
     d = base.degree
     w1, w2, w3 = base.weights
-    system = WeightSystem((d, k * w1, k * w2, k * w3), k * d)
-    largest = max(system.weights + (system.degree,))
+    largest = k * max(d, w1, w2, w3)  # of the cover's weights and its degree k d
     require_digits(largest.bit_length() * log10(2), "a cover weight or degree")
-    return system
+    return WeightSystem((d, k * w1, k * w2, k * w3), k * d)
 
 
 def cover_divisor(base_div: OrlikDivisor, k: int) -> OrlikDivisor:
@@ -99,7 +98,7 @@ def cover_torsion_order(k: int, genus: int) -> int:
     return k ** (2 * genus)
 
 
-def cover_checks(base, genus, k, via_relation, order, system):
+def cover_checks(base, genus, k, via_relation, order, system) -> tuple:
     """The cover's cross-checks, one item each: None, or the error it found.
 
     The direct divisor of ``system`` against ``via_relation`` (left out when
@@ -107,17 +106,18 @@ def cover_checks(base, genus, k, via_relation, order, system):
     order the caller read off ``via_relation``: ``build_cover`` raises the
     first error, ``verify`` counts them all.
     """
-    if system is not None:
-        ok = milnor_orlik_divisor(system) == via_relation
-        yield None if ok else TwoPathMismatchError(
-            f"{base}, k={k}: cover divisor paths disagree"
-        )
     b_2 = via_relation.coefficient_sum()
-    yield None if b_2 == 0 else CrossCheckError(f"{base}, k={k}: b_2 = {b_2}, expected 0")
-    ok = order == cover_torsion_order(k, genus)
-    yield None if ok else CrossCheckError(
-        f"{base}, k={k}: torsion order {order} != {k}^(2*{genus})"
+    checks = (
+        None if b_2 == 0 else CrossCheckError(f"{base}, k={k}: b_2 = {b_2}, expected 0"),
+        None if order == cover_torsion_order(k, genus) else CrossCheckError(
+            f"{base}, k={k}: torsion order {order} != {k}^(2*{genus})"
+        ),
     )
+    if system is None:
+        return checks
+    if milnor_orlik_divisor(system) == via_relation:
+        return (None, *checks)
+    return (TwoPathMismatchError(f"{base}, k={k}: cover divisor paths disagree"), *checks)
 
 
 def build_cover(base: WeightSystem, k: int, *, skip_direct_path: bool = False) -> CoverLink:
@@ -126,7 +126,7 @@ def build_cover(base: WeightSystem, k: int, *, skip_direct_path: bool = False) -
     A k sharing a factor with the base degree raises ``CoprimalityError``.
     The cover's record is assembled from (lam(k) - 1) times the base divisor,
     its torsion-digit bound included, before any check runs.  The first
-    error ``cover_checks`` yields is then raised: the divisor computed from
+    error ``cover_checks`` returns is then raised: the divisor computed from
     the 4-variable weight system differs, b_2 is not 0, or the record's
     |H_2| is not k^(2g).  Each would contradict what the construction
     guarantees for gcd(d, k) = 1.

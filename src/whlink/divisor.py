@@ -47,9 +47,14 @@ class OrlikDivisor:
     def _raw(cls, terms: dict) -> "OrlikDivisor":
         # trusted fast path for products and program-built term maps: the
         # caller hands over a fresh map of valid indices and coefficients,
-        # which is kept as it is unless it holds a zero to prune
+        # which is kept as it is unless it holds a zero to prune; a map
+        # that is or prunes to empty gives the one shared ``_ZERO``
+        if 0 in terms.values():
+            terms = {j: c for j, c in terms.items() if c}
+        if not terms:
+            return _ZERO
         self = object.__new__(cls)
-        _set_terms(self, {j: c for j, c in terms.items() if c} if 0 in terms.values() else terms)
+        _set_terms(self, terms)
         return self
 
     # -- immutability / equality -----------------------------------------
@@ -94,6 +99,8 @@ class OrlikDivisor:
     def __mul__(self, other):
         if not isinstance(other, OrlikDivisor):
             return NotImplemented
+        if not (self._terms and other._terms):
+            return _ZERO
         acc = {}
         for a, ca in self._terms.items():
             for b, cb in other._terms.items():
@@ -166,6 +173,11 @@ class OrlikDivisor:
 
 # the slot's own setter, past the class's __setattr__, which refuses every write
 _set_terms = OrlikDivisor._terms.__set__
+
+# the one zero divisor ``_raw`` hands out: a linear cone's divisor, every
+# product with it, and every product that cancels to nothing
+_ZERO = object.__new__(OrlikDivisor)
+_set_terms(_ZERO, {})
 
 
 def lam(j: int) -> OrlikDivisor:

@@ -142,11 +142,12 @@ def char_poly_from_divisor(div: OrlikDivisor) -> list:
     each negative one is divided out in one call, largest j first to shorten
     the polynomial soonest; any remainder raises ``NotAPolynomialError``.
     """
+    terms = div.items()  # largest j first
     num = [1]
-    for j, c in sorted(div.items()):
+    for j, c in reversed(terms):
         if c > 0:
             num = poly.mul_binomial_power(num, j, c)
-    for j, c in sorted(div.items(), reverse=True):
+    for j, c in terms:
         if c < 0:
             num = poly.divexact_binomial_power(num, j, -c)
     return num
@@ -164,11 +165,12 @@ def oracle_expand(div: OrlikDivisor) -> list:
     its arithmetic; the two must agree bit for bit on every divisor that
     encodes a polynomial.
     """
+    terms = div.items()  # largest j first
     num = [1]
-    for j, c in sorted(div.items()):
+    for j, c in reversed(terms):
         if c > 0:
             num = poly.mul(num, poly.inflate(poly.t_minus_one_power(c), j))
-    for j, c in div.items():  # largest j first
+    for j, c in terms:
         if c < 0:
             num, rem = poly.long_divmod(num, poly.inflate(poly.t_minus_one_power(-c), j))
             if rem:

@@ -8,7 +8,8 @@ least 0, every stride at least 1, and every divisor nonempty and monic.
 Two deliberately separate tool sets live here.  The schoolbook routines
 (``mul``, ``t_minus_one_power``, ``inflate``, ``long_divmod``) back the
 brute-force oracle only; ``mul`` and ``long_divmod`` list the nonzero
-terms of their second argument once and walk only those, and
+terms of their second argument once, by ``compress(enumerate(x), x)`` in
+C, and walk only those, and
 ``t_minus_one_power`` squares and multiplies over the bits of the exponent
 and never uses a binomial recurrence.  As every power of t - 1 reads the
 same backwards up to sign, each square is a palindrome, so only its bottom
@@ -24,15 +25,17 @@ none of its shortcuts.
 shares nothing with ``OrlikDivisor.reduced_value_at_one``, the product of
 the j^{c_j} it is checked against: it reads sum_i p_i * C(i, m) off the
 first differences of the oracle's coefficients, which vanish along the
-long runs that a divided-out (t - 1) leaves.  It forms a difference only
-where neighbouring coefficients differ, and steps the one big binomial
-across each gap between those places.
+long runs that a divided-out (t - 1) leaves.  One C-level scan finds the
+indices where neighbouring coefficients differ; a difference is formed
+only there, the top coefficient closes the sum as the last difference,
+and the one big binomial is stepped across each gap by a ratio of two
+``math.perm`` falling factorials.
 """
 
 from __future__ import annotations
 
-from itertools import accumulate, compress, count
-from math import prod
+from itertools import accumulate, compress, count, islice
+from math import perm
 from operator import ne
 
 from .errors import NotAPolynomialError
@@ -50,11 +53,10 @@ def trim(p: list) -> list:
 def mul(a: list, b: list) -> list:
     """Schoolbook product: b's nonzero terms are listed once, and each nonzero a_i walks those."""
     out = [0] * (len(a) + len(b) - 1)
-    terms = [(k, bk) for k, bk in enumerate(b) if bk]
-    for i, ai in enumerate(a):
-        if ai:
-            for k, bk in terms:
-                out[i + k] += ai * bk
+    terms = list(compress(enumerate(b), b))
+    for i, ai in compress(enumerate(a), a):
+        for k, bk in terms:
+            out[i + k] += ai * bk
     return trim(out)
 
 
@@ -101,7 +103,8 @@ def long_divmod(num: list, den: list) -> tuple:
     rem = list(num)
     dn = len(den) - 1
     quot = [0] * (len(rem) - dn)
-    support = [(i, c) for i, c in enumerate(den) if c and i != dn]
+    support = list(compress(enumerate(den), den))
+    del support[-1]  # the leading 1
     for k in range(len(quot) - 1, -1, -1):
         coef = rem[k + dn]
         if coef:
@@ -119,22 +122,25 @@ def shifted_coefficient(p: list, m: int):
     t = 1, read off in a single pass instead of m long divisions.  As
     (t - 1) p(t) is s p(1 + s) at t = 1 + s, the sum is also
     sum_i (p_{i-1} - p_i) * C(i, m + 1), over the first differences of p,
-    of which only the nonzero ones at i > m count.  One ``map(ne, ...)``
-    pass finds the indices where p_{i-1} and p_i differ, and only there is
-    the difference formed.  C(i, m + 1) is stepped from one such index a to
-    the next i by the exact ratio prod_{a<k<=i} k / (k - m - 1).
+    of which only the nonzero ones at i > m count.  One ``compress`` over
+    ``map(ne, ...)`` of two ``islice`` views of p yields the indices
+    m < i < len(p) where p_{i-1} and p_i differ, and only there is the
+    difference formed; the last difference, p_top - 0 at i = len(p), is
+    added after the scan.  C(i, m + 1) is stepped from one such index a to
+    the next i by perm(i, i - a) // perm(i - m - 1, i - a).
     """
-    tail = p[m:]
-    after = tail[1:] + [0]  # p_{i-1} in tail pairs with p_i in after, i = m + 1, m + 2, ...
+    n = len(p)
+    if n <= m:
+        return 0
     total = 0
     a = m + 1
     binom = 1  # C(a, m + 1)
-    for i, before, here in compress(zip(count(a), tail, after), map(ne, tail, after)):
+    for i in compress(count(a), map(ne, islice(p, m, n - 1), islice(p, a, None))):
         if i > a:
-            binom = binom * prod(range(a + 1, i + 1)) // prod(range(a - m, i - m))
+            binom = binom * perm(i, i - a) // perm(i - m - 1, i - a)
             a = i
-        total += (before - here) * binom
-    return total
+        total += (p[i - 1] - p[i]) * binom
+    return total + p[-1] * (binom * perm(n, n - a) // perm(n - m - 1, n - a))
 
 
 def mul_binomial_power(p: list, j: int, c: int) -> list:
@@ -146,7 +152,7 @@ def mul_binomial_power(p: list, j: int, c: int) -> list:
     and each of the c + 1 binomial rows walks only those.
     """
     out = [0] * (len(p) + j * c)
-    terms = [(i, pi) for i, pi in enumerate(p) if pi]
+    terms = list(compress(enumerate(p), p))
     binom = 1
     for m in range(c + 1):
         coef = binom if (c - m) % 2 == 0 else -binom

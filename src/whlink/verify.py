@@ -31,13 +31,13 @@ from .realization import iter_integral_genus_systems
 _FAILURE_CAP = 10
 # Figures from a 2-vCPU Intel Xeon VM with Python 3.11.7, whose speed
 # varies by about a third from run to run.  The grid grows as d^4 in the
-# degree bound: `whlink verify` takes 3.1-3.4 s at --max-degree 40 and 8 s at
-# 48 for the whole process, 6.7 s of that in the oracle stage; the
-# (1,1,1; 48) oracle cell alone takes 0.6 s, and (1,1,1; 64) 3.6 s.
+# degree bound: `whlink verify` takes 2.8-2.9 s at --max-degree 40 and 7.4-7.5 s
+# at 48 for the whole process, 6.5 s of that in the oracle stage; the
+# (1,1,1; 48) oracle cell alone takes 0.5 s, and (1,1,1; 64) 3.2 s.
 MAX_VERIFY_DEGREE = 48
 # The cover stage grows linearly in the cover bound, about 0.07 s per unit
 # of --max-k at --max-degree 48: `whlink verify --max-degree 48 --max-k 200`
-# takes 21.5 s for the whole process, at 76 MiB resident.
+# takes 20 s for the whole process, at 75 MiB resident.
 MAX_VERIFY_K = 200
 
 

@@ -17,6 +17,7 @@ from whlink import (
     lam,
     milnor_orlik_divisor,
 )
+from whlink.cover import cover_checks
 
 CUBIC = WeightSystem((1, 1, 1), 3)
 
@@ -212,3 +213,30 @@ def test_build_cover_catches_a_wrong_relation_path(plant_cover_fault):
         build_cover(CUBIC, 2, skip_direct_path=True)
     assert excinfo.type is CrossCheckError
     assert "b_2 = 1" in str(excinfo.value)
+
+
+def test_cover_checks_is_a_tuple_of_three_items_or_two():
+    via = cover_divisor(milnor_orlik_divisor(CUBIC), 2)
+    system = cover_weights(CUBIC, 2)
+    assert cover_checks(CUBIC, 1, 2, via, 4, system) == (None, None, None)
+    assert cover_checks(CUBIC, 1, 2, via, 4, None) == (None, None)
+    wrong_order = cover_checks(CUBIC, 1, 2, via, 5, None)
+    assert type(wrong_order) is tuple and wrong_order[0] is None
+    assert str(wrong_order[1]) == "w=(1,1,1; d=3), k=2: torsion order 5 != 2^(2*1)"
+
+
+def test_build_cover_raises_the_first_of_two_planted_faults(monkeypatch):
+    # a wrong direct path and a wrong order law together: every check runs,
+    # and the direct path's mismatch, the first item, is the one raised
+    def direct(ws):
+        return milnor_orlik_divisor(ws) * lam(2)
+
+    monkeypatch.setattr("whlink.cover.milnor_orlik_divisor", direct)
+    monkeypatch.setattr("whlink.cover.cover_torsion_order", lambda k, genus: k ** (2 * genus) + 1)
+    system = cover_weights(CUBIC, 2)
+    via = cover_divisor(milnor_orlik_divisor(CUBIC), 2)
+    mismatch, b_2, order_law = cover_checks(CUBIC, 1, 2, via, 4, system)
+    assert type(mismatch) is TwoPathMismatchError and b_2 is None
+    assert type(order_law) is CrossCheckError
+    with pytest.raises(TwoPathMismatchError, match="cover divisor paths disagree"):
+        build_cover(CUBIC, 2)

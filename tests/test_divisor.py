@@ -213,6 +213,22 @@ def test_a_product_that_cancels_keeps_no_zero():
     assert partly._terms == {6: 1}
 
 
+def test_program_built_zeros_are_one_shared_immutable_divisor():
+    zero = OrlikDivisor._raw({})
+    cancelled = OrlikDivisor({2: 1, 1: -2}) * lam(2)
+    cone = milnor_orlik_divisor(WeightSystem((1, 2, 3), 3))
+    assert cancelled is zero and cone is zero and OrlikDivisor._raw({4: 0}) is zero
+    assert lam(6) * zero is zero and zero * POINCARE is zero
+    with pytest.raises(AttributeError):
+        zero._terms = {1: 1}
+    assert zero._terms == {} and not zero
+    # the public constructor still gives a divisor of its own, equal to it
+    fresh = OrlikDivisor({})
+    assert fresh is not zero
+    assert zero == fresh == cancelled
+    assert hash(zero) == hash(fresh) == hash(cancelled)
+
+
 def test_json_round_trip():
     d = OrlikDivisor({6: 3, 2: -1, 1: 1})
     data = d.as_json()

@@ -95,6 +95,64 @@ def test_power_of_t_minus_one_takes_one_half_square_per_bit(monkeypatch):
     assert len(calls) == (600).bit_length()
 
 
+def every_product(a, b):
+    """a b with every product a_i b_k formed, zero or not."""
+    out = [0] * (len(a) + len(b))
+    for i, ai in enumerate(a):
+        for k, bk in enumerate(b):
+            out[i + k] += ai * bk
+    return poly.trim(out)
+
+
+def comb_expansion(p, j, c):
+    """p (t^j - 1)^c with the binomial factor written out by math.comb."""
+    factor = [0] * (j * c + 1)
+    for m in range(c + 1):
+        factor[j * m] = (-1) ** (c - m) * math.comb(c, m)
+    return every_product(p, factor)
+
+
+# sparse operands: runs of zeros before, between and after the nonzero terms,
+# as in the inflated blocks and padded quotients the routes list the terms of
+zero_run = st.lists(st.just(0), max_size=6)
+sparse = st.lists(st.tuples(zero_run, nonzero), max_size=6).flatmap(
+    lambda runs: zero_run.map(lambda tail: [x for zeros, c in runs for x in (*zeros, c)] + tail)
+)
+monic = sparse.map(lambda low: [*low, 1])
+
+
+def added(p, q):
+    out = [0] * max(len(p), len(q))
+    for addend in (p, q):
+        for i, x in enumerate(addend):
+            out[i] += x
+    return poly.trim(out)
+
+
+@given(sparse, sparse)
+@example([0, 0, 5], [3, 0, 0, -1, 0])
+@example([], [1])
+def test_mul_lists_every_nonzero_term(a, b):
+    assert poly.mul(a, b) == every_product(a, b)
+
+
+@given(sparse, st.integers(min_value=1, max_value=5), st.integers(min_value=0, max_value=6))
+@example([0, 0, 4, 0, 0], 3, 2)
+def test_mul_binomial_power_lists_every_nonzero_term(p, j, c):
+    assert poly.mul_binomial_power(p, j, c) == comb_expansion(p, j, c)
+
+
+@given(sparse.map(poly.trim), monic, sparse)
+@example([0, 0, 2], [3, 0, 0, 7, 0, 1], [5])
+@example([1], [0, 0, 1], [])
+def test_long_divmod_by_sparse_monic_divisors_multiplies_back(quotient, den, rem):
+    # num = quotient * den + rem, rem cut below den's degree: long division
+    # gives both back
+    rem = poly.trim(rem[: len(den) - 1])
+    num = added(every_product(quotient, den), rem)
+    assert poly.long_divmod(num, den) == (quotient, rem)
+
+
 def test_inflate():
     assert poly.inflate([1, -2, 1], 3) == [1, 0, 0, -2, 0, 0, 1]
     assert poly.inflate([5], 4) == [5]
@@ -269,6 +327,8 @@ def test_shifted_coefficient_edge_cases():
     assert poly.shifted_coefficient([], 3) == 0
     assert poly.shifted_coefficient([4, -1, 2], 3) == 0  # len(p) <= m
     assert poly.shifted_coefficient([4, -1, 2], 0) == 5  # m = 0 is p(1)
+    assert poly.shifted_coefficient([4, -1, 2], 2) == 2  # len(p) = m + 1: the top alone
+    assert poly.shifted_coefficient([1, 5, 5, 5], 1) == 30  # a run of 5s ends at the top
     assert poly.shifted_coefficient([0] * 40, 5) == 0
 
 
