@@ -4,10 +4,13 @@ The pipeline runs from a weight system to the divisor of its monodromy
 characteristic polynomial, the Betti numbers and torsion order of the link,
 branched covers realizing any prescribed H_2 order, and the enumeration of
 the spin 5-manifolds compatible with that order.  All arithmetic is exact.
+
+The package exports what README's Library section, the CLI's commands and
+the acceptance suite use; every other name is imported from its module.
 """
 
-from .cover import CoverLink, build_cover, cover_divisor, cover_weights, diagnose_cover
-from .divisor import OrlikDivisor, lam, relation_holds
+from .cover import CoverLink, build_cover, diagnose_cover
+from .divisor import OrlikDivisor
 from .errors import (
     ConsistencyError,
     CoprimalityError,
@@ -20,16 +23,8 @@ from .errors import (
     TwoPathMismatchError,
     WhlinkError,
 )
-from .invariants import (
-    MAX_POLY_DEGREE,
-    LinkInvariants,
-    char_poly_from_divisor,
-    invariants_from_divisor,
-    link_invariants,
-    milnor_orlik_divisor,
-    oracle_expand,
-)
-from .primes import factorize, is_prime, primes_4l_minus_1
+from .invariants import LinkInvariants, link_invariants
+from .primes import primes_4l_minus_1
 from .realization import (
     FamilyMember,
     RealizationCertificate,
@@ -46,12 +41,8 @@ __version__ = "0.1.0"
 __all__ = [
     "CoverLink",
     "build_cover",
-    "cover_divisor",
-    "cover_weights",
     "diagnose_cover",
     "OrlikDivisor",
-    "lam",
-    "relation_holds",
     "ConsistencyError",
     "CoprimalityError",
     "CrossCheckError",
@@ -62,15 +53,8 @@ __all__ = [
     "NotASmoothCurveError",
     "TwoPathMismatchError",
     "WhlinkError",
-    "MAX_POLY_DEGREE",
     "LinkInvariants",
-    "char_poly_from_divisor",
-    "invariants_from_divisor",
     "link_invariants",
-    "milnor_orlik_divisor",
-    "oracle_expand",
-    "factorize",
-    "is_prime",
     "primes_4l_minus_1",
     "FamilyMember",
     "RealizationCertificate",

@@ -209,13 +209,13 @@ class LinkInvariants(NamedTuple):
 
 
 def invariants_from_divisor(ws: WeightSystem, div: OrlikDivisor) -> LinkInvariants:
-    """Assemble the invariant record of ``ws`` for its already computed divisor.
+    """Assemble and check the invariant record of ``ws`` for its divisor.
 
-    For three weights ``WeightSystem.genus`` is computed first and stored,
-    not checked; ``link_invariants`` checks it.  The digits of the torsion
-    order (sum_j c_j log10 j) and of the product it is divided out of (the
-    terms with c_j > 0) are bounded before any power is computed.  An
-    expanded polynomial must pass ``expansion_check``.
+    For three weights ``WeightSystem.genus`` is computed first.  The digits
+    of the torsion order (sum_j c_j log10 j) and of the product it is
+    divided out of (the terms with c_j > 0) are bounded before any power is
+    computed.  An expanded polynomial must pass ``expansion_check``, and
+    then the genus, computed without the divisor, ``genus_betti_check``.
     """
     genus = ws.genus() if ws.n == 3 else None
     mult = div.coefficient_sum()
@@ -235,17 +235,15 @@ def invariants_from_divisor(ws: WeightSystem, div: OrlikDivisor) -> LinkInvarian
         char_poly = char_poly_from_divisor(div)
         if error := expansion_check(ws, div, char_poly, delta_at_one):
             raise error
+    if genus is not None and (error := genus_betti_check(ws, genus, div)):
+        raise error
     return LinkInvariants(ws, div, mult, char_poly, delta_at_one, genus)
 
 
 def link_invariants(ws: WeightSystem) -> LinkInvariants:
     """Full invariant record of the link of a weight system.
 
-    The divisor comes from ``link_divisor``, and the record from
-    ``invariants_from_divisor``.  For three variables its genus, computed
-    independently of the divisor, must then pass ``genus_betti_check``.
+    The divisor comes from ``link_divisor``, and the checked record from
+    ``invariants_from_divisor``.
     """
-    inv = invariants_from_divisor(ws, link_divisor(ws))
-    if inv.genus is not None and (error := genus_betti_check(ws, inv.genus, inv.divisor)):
-        raise error
-    return inv
+    return invariants_from_divisor(ws, link_divisor(ws))

@@ -11,13 +11,11 @@ from whlink import (
     TwoPathMismatchError,
     WeightSystem,
     build_cover,
-    cover_divisor,
-    cover_weights,
     diagnose_cover,
-    lam,
-    milnor_orlik_divisor,
 )
-from whlink.cover import cover_checks
+from whlink.cover import cover_checks, cover_divisor, cover_weights
+from whlink.divisor import lam
+from whlink.invariants import milnor_orlik_divisor
 
 CUBIC = WeightSystem((1, 1, 1), 3)
 

@@ -5,16 +5,10 @@ from fractions import Fraction
 
 import pytest
 
-from whlink import (
-    InvalidIndexError,
-    NotAPolynomialError,
-    OrlikDivisor,
-    WeightSystem,
-    lam,
-    milnor_orlik_divisor,
-)
-from whlink.divisor import relation_holds
+from whlink import InvalidIndexError, NotAPolynomialError, OrlikDivisor, WeightSystem
+from whlink.divisor import lam, relation_holds
 from whlink.errors import require_int
+from whlink.invariants import milnor_orlik_divisor
 
 
 # (t^6 - 1)^3 (t - 1) / ((t^3 - 1)^3 (t^2 - 1)), the cover divisor of the

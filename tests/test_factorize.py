@@ -25,7 +25,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from sympy import factorint, isprime, nextprime, prevprime
 
-from whlink import InputError, factorize, primes
+from whlink import InputError, primes
+from whlink.primes import factorize
 
 _TRIAL_LIMIT = 10**6
 PSI_12 = 318665857834031151167461

@@ -6,20 +6,22 @@ from math import comb, gcd
 import pytest
 
 from whlink import (
-    MAX_POLY_DEGREE,
     NotAPolynomialError,
     NotASmoothCurveError,
     OrlikDivisor,
     WeightSystem,
-    char_poly_from_divisor,
-    cover_divisor,
-    invariants_from_divisor,
-    lam,
     link_invariants,
+)
+from whlink import polynomials as poly
+from whlink.cover import cover_divisor
+from whlink.divisor import lam
+from whlink.invariants import (
+    MAX_POLY_DEGREE,
+    char_poly_from_divisor,
+    invariants_from_divisor,
     milnor_orlik_divisor,
     oracle_expand,
 )
-from whlink import polynomials as poly
 from whlink.verify import build_grid
 
 POINCARE = WeightSystem((15, 10, 6), 30)

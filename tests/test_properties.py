@@ -8,17 +8,11 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from whlink import (
-    NotAPolynomialError,
-    OrlikDivisor,
-    WeightSystem,
-    cover_divisor,
-    cover_weights,
-    lam,
-    milnor_orlik_divisor,
-    oracle_expand,
-)
+from whlink import NotAPolynomialError, OrlikDivisor, WeightSystem
 from whlink import polynomials as poly
+from whlink.cover import cover_divisor, cover_weights
+from whlink.divisor import lam
+from whlink.invariants import milnor_orlik_divisor, oracle_expand
 
 divisors = st.dictionaries(
     keys=st.integers(min_value=1, max_value=60),

@@ -12,9 +12,7 @@ from whlink import (
     InputError,
     NotASmoothCurveError,
     WeightSystem,
-    factorize,
     family_member,
-    is_prime,
     link_invariants,
     primes_4l_minus_1,
     realize,
@@ -22,7 +20,7 @@ from whlink import (
     smale_decompositions,
 )
 from whlink import primes
-from whlink.primes import sieve
+from whlink.primes import factorize, is_prime, sieve
 from whlink.realization import iter_integral_genus_systems
 from whlink.smale import partitions_desc
 from whlink.verify import build_grid

@@ -15,7 +15,12 @@ from whlink.cli import main
 from whlink.cover import build_cover
 from whlink.divisor import OrlikDivisor, lam
 from whlink.errors import CrossCheckError, NotAPolynomialError, TwoPathMismatchError
-from whlink.invariants import link_divisor, link_invariants, oracle_expand
+from whlink.invariants import (
+    invariants_from_divisor,
+    link_divisor,
+    link_invariants,
+    oracle_expand,
+)
 from whlink.verify import (
     _FAILURE_CAP,
     build_grid,
@@ -234,3 +239,24 @@ def test_link_invariants_raises_the_duality_text_verify_records(monkeypatch):
     with pytest.raises(CrossCheckError) as excinfo:
         link_invariants(CUBIC)
     assert str(excinfo.value) == "w=(1,1,1; d=3): multiplicity 2 != 2 * genus 2"
+
+
+def test_every_link_record_has_passed_the_duality_check(monkeypatch):
+    # the record builder itself checks b_1 = 2g, so no caller can hold an
+    # unchecked record; past MAX_POLY_DEGREE, with no expansion, it still does
+    monkeypatch.setattr(WeightSystem, "genus", lambda self: 2)
+    with pytest.raises(CrossCheckError) as excinfo:
+        invariants_from_divisor(CUBIC, link_divisor(CUBIC))
+    assert str(excinfo.value) == "w=(1,1,1; d=3): multiplicity 2 != 2 * genus 2"
+    plane_30 = WeightSystem((1, 1, 1), 30)
+    with pytest.raises(CrossCheckError) as excinfo:
+        invariants_from_divisor(plane_30, link_divisor(plane_30))
+    assert str(excinfo.value) == "w=(1,1,1; d=30): multiplicity 812 != 2 * genus 2"
+
+
+def test_the_expansion_check_comes_before_the_duality_check(monkeypatch, plant_expansion_fault):
+    monkeypatch.setattr(WeightSystem, "genus", lambda self: 2)
+    plant_expansion_fault("whlink.invariants.char_poly_from_divisor")
+    with pytest.raises(CrossCheckError) as excinfo:
+        link_invariants(CUBIC)
+    assert str(excinfo.value) == WRONG_EXPANSION_TEXT
