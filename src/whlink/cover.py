@@ -7,14 +7,15 @@ link.  On divisors the passage is multiplication by lam(k) - 1, and when
 gcd(d, k) = 1 the cover is a rational homology sphere whose H_2 has order
 k^(2g), g the genus of the base curve.
 
-``cover_weights`` builds the cover's weight system for any k > 1, and
-``build_cover`` then rejects a k sharing a factor with d.  It assembles the
-cover's record from the lam(k) - 1 product, then raises the first error
-``cover_checks`` returns, each built only when its check fails: the cover
-divisor computed directly from the 4-variable weight system must agree
-with it, b_2 must vanish, and the printed |H_2| must be k^(2g).  The
-redundancy is the point: every cover built is a self-test of the whole
-pipeline, and ``verify`` sweeps the same checks.
+``build_cover`` and ``diagnose_cover`` check base and k, and the helpers
+behind them take what they checked; ``build_cover`` then rejects a k
+sharing a factor with d.  It assembles the cover's record from the
+lam(k) - 1 product, then raises the first error ``cover_checks`` returns,
+each built only when its check fails: the cover divisor computed directly
+from the 4-variable weight system must agree with it, b_2 must vanish,
+and the printed |H_2| must be k^(2g).  The redundancy is the point: every
+cover built is a self-test of the whole pipeline, and ``verify`` sweeps
+the same checks.
 """
 
 from __future__ import annotations
@@ -65,30 +66,34 @@ class CoverLink(NamedTuple):
         }
 
 
-_EXPONENT = "cover exponent must be an integer greater than 1"
+def _require_cover(base: WeightSystem, k: int) -> None:
+    """Raise ``InputError`` unless base has 3 weights, k > 1 is an int, and the cover fits.
+
+    Checked in that order; fitting is having no cover weight or degree past
+    ``MAX_ORDER_DIGITS`` digits.  Coprimality is left to ``build_cover``.
+    """
+    if len(base.weights) != 3:
+        raise InputError("covers are built over 3-variable weight systems")
+    require_int(k, 2, "cover exponent must be an integer greater than 1")
+    largest = k * max(base.degree, *base.weights)  # of the cover's weights and its degree k d
+    require_digits(largest.bit_length() * log10(2), "a cover weight or degree")
 
 
 def cover_weights(base: WeightSystem, k: int) -> WeightSystem:
     """Weight system (d, k w_1, k w_2, k w_3; k d) of base + z_0^k, any k > 1.
 
-    Coprimality is not tested: ``build_cover`` asks it, ``diagnose_cover``
-    goes without it, and the ``verify`` sweep takes coprime k only.  A
-    cover weight or degree of more than ``MAX_ORDER_DIGITS`` digits raises
-    ``InputError``.
+    Base and k are as ``_require_cover`` passes them, or as ``verify``'s
+    capped bounds build them.  Coprimality is not tested: ``build_cover``
+    asks it, ``diagnose_cover`` goes without it, and ``verify`` takes
+    coprime k only.
     """
-    if len(base.weights) != 3:
-        raise InputError("covers are built over 3-variable weight systems")
-    require_int(k, 2, _EXPONENT)
     d = base.degree
     w1, w2, w3 = base.weights
-    largest = k * max(d, w1, w2, w3)  # of the cover's weights and its degree k d
-    require_digits(largest.bit_length() * log10(2), "a cover weight or degree")
     return WeightSystem((d, k * w1, k * w2, k * w3), k * d)
 
 
 def cover_divisor(base_div: OrlikDivisor, k: int) -> OrlikDivisor:
-    """Divisor of the cover: (lam(k) - 1) times the base divisor."""
-    require_int(k, 2, _EXPONENT)
+    """Divisor of the cover: (lam(k) - 1) times the base divisor, k as for ``cover_weights``."""
     # lam(k) - 1 written out as its two terms, distinct since k >= 2
     return OrlikDivisor._raw({k: 1, 1: -1}) * base_div
 
@@ -136,9 +141,10 @@ def build_cover(base: WeightSystem, k: int, *, skip_direct_path: bool = False) -
     tau(k d) terms and takes about 15 us even at k = 10**12; it remains only
     as the back end of ``cover --skip-direct-path``.
     """
-    system = cover_weights(base, k)
+    _require_cover(base, k)
     if gcd(base.degree, k) != 1:
         raise CoprimalityError(f"cover exponent {k} must be coprime to the degree {base.degree}")
+    system = cover_weights(base, k)
     base_inv = link_invariants(base)
     via = cover_divisor(base_inv.divisor, k)
     inv = invariants_from_divisor(system, via)
@@ -158,6 +164,6 @@ def diagnose_cover(base: WeightSystem, k: int) -> LinkInvariants:
     with gcd(d, k) > 1 the cover need not be a rational homology sphere, so
     the record may carry a positive multiplicity and no torsion order.
     """
-    system = cover_weights(base, k)
+    _require_cover(base, k)
     link_invariants(base)
-    return link_invariants(system)
+    return link_invariants(cover_weights(base, k))

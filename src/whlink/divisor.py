@@ -181,8 +181,8 @@ _set_terms(_ZERO, {})
 
 
 def lam(j: int) -> OrlikDivisor:
-    """The divisor of t^j - 1; ``lam(1)`` is the ring identity."""
-    return OrlikDivisor({j: 1})
+    """The divisor of t^j - 1 for the int j >= 1 its caller built; ``lam(1)`` is the identity."""
+    return OrlikDivisor._raw({j: 1})
 
 
 # -- first-principles oracle for the multiplication rule -------------------

@@ -85,8 +85,8 @@ def is_prime(n: int) -> bool:
     probable-prime test to each of the first t of them, where t is the
     least index with n < psi_t: 1 base below 2047, 5 below psi_5 =
     2152302898747, all 13 below psi_13.  ``InputError`` for n >= psi_13.
+    n is an int: ``family_member`` checks it, ``realize`` and ``factorize`` build it.
     """
-    require_int(n, None, "primality is defined for integers")
     if n < 2:
         return False
     if n >= _MR_PROVEN_BOUND:
@@ -104,10 +104,10 @@ def is_prime(n: int) -> bool:
 
 
 def sieve(limit: int) -> bytearray:
-    """Primality flags for 0..limit inclusive, one byte each: 1 prime, 0 not."""
+    """Primality flags for 0..limit inclusive, limit >= 0, one byte each: 1 prime, 0 not."""
     flags = bytearray([1]) * (limit + 1)
     flags[:2] = bytes(len(flags[:2]))
-    for p in range(2, isqrt(max(limit, 0)) + 1):
+    for p in range(2, isqrt(limit) + 1):
         if flags[p]:
             flags[p * p :: p] = bytes(len(range(p * p, limit + 1, p)))
     return flags
@@ -128,26 +128,16 @@ def primes_4l_minus_1(limit: int) -> list:
     return [p for p in range(3, limit + 1, 4) if flags[p]]
 
 
-def family_prime_candidates():
-    """Yield primes congruent to 3 mod 4 in increasing order, unboundedly."""
-    p = 3
-    while True:
-        if is_prime(p):
-            yield p
-        p += 4
+def _trial_divide(rest: int):
+    """Divide each odd f from 1025 on below 10**6 out of ``rest``, free of primes below 2**10.
 
-
-def _trial_divide(rest: int, f: int, limit: int):
-    """Divide each odd number from f on below ``limit`` out of ``rest``.
-
-    f must be odd: ``factorize`` calls this from 1025, once every prime
-    below 2**10, 2 included, is out.  Stops early once f * f > rest, when
-    what is left is 1 or a prime; that prime is then a factor found too.
-    Returns the (factor, exponent) pairs found and what is left, 1 after an
-    early stop.
+    Stops early once f * f > rest, when what is left is 1 or a prime; that
+    prime is then a factor found too.  Returns the (factor, exponent) pairs
+    found and what is left, 1 after an early stop.
     """
     out = []
-    while f * f <= rest and f < limit:
+    f = _SMALL_PRIME_LIMIT + 1
+    while f * f <= rest and f < _TRIAL_LIMIT:
         if rest % f == 0:
             e = 0
             while rest % f == 0:
@@ -205,11 +195,9 @@ def _small_primes() -> tuple:
 def _strip_small_primes(k: int):
     """Divide every prime below 2**10 out of k: (pairs found, what is left).
 
-    g = gcd(k, the product of those primes) is squarefree, and only the
-    primes dividing g are divided out.  What is left then has no prime
-    factor below 1025, so if it is above 1 and below 1025**2 it is prime:
-    it is recorded as a factor and 1 is left, as ``_trial_divide``'s early
-    stop would.
+    k is an int >= 1, as ``factorize``'s caller checks.  g = gcd(k, the
+    product of those primes) is squarefree, and only the primes dividing g
+    are divided out.  ``factorize`` certifies what is left like any piece.
     """
     small, primorial = _small_primes()
     g = gcd(k, primorial)
@@ -230,9 +218,6 @@ def _strip_small_primes(k: int):
             k //= p
             e += 1
         found.append((p, e))
-    if 1 < k < (_SMALL_PRIME_LIMIT + 1) ** 2:
-        found.append((k, 1))
-        k = 1
     return found, k
 
 
@@ -248,8 +233,8 @@ def factorize(k: int) -> list:
     is left is rejected as an out-of-range cofactor r, and one past
     ``is_prime``'s range gets its error.  The answer is checked to multiply
     back to k before it is returned; ``ConsistencyError`` if it does not.
+    k is an int >= 1, as ``smale_decompositions`` checks.
     """
-    require_int(k, 1, "factorization is defined for positive integers")
     found, rest = _strip_small_primes(k)
     pieces = [rest] if rest > 1 else []
     unsplit = []
@@ -264,7 +249,7 @@ def factorize(k: int) -> list:
             pieces += (d, n // d)
             continue
         # every prime below 2**10 is already out of n
-        more, n = _trial_divide(n, _SMALL_PRIME_LIMIT + 1, _TRIAL_LIMIT)
+        more, n = _trial_divide(n)
         found += more
         if n > 1:
             # no prime factor below 10**6 is left in n, which is certified below

@@ -12,6 +12,7 @@ Smale manifolds carry the resulting order.
 
 from __future__ import annotations
 
+from itertools import count
 from math import gcd
 from typing import NamedTuple
 
@@ -26,7 +27,7 @@ from .errors import (
 )
 from .invariants import link_divisor
 from .smale import SmaleManifold, smale_decompositions
-from .primes import family_prime_candidates, is_prime
+from .primes import is_prime
 from .weights import WeightSystem, genus_formula
 
 
@@ -103,7 +104,7 @@ def realize(k: int, *, prime: int | None = None) -> RealizationCertificate:
     """
     require_int(k, 2, "target order parameter must be an integer > 1")
     if prime is None:
-        chosen = next(p for p in family_prime_candidates() if gcd(k, p) == 1)
+        chosen = next(p for p in count(3, 4) if gcd(k, p) == 1 and is_prime(p))
     else:
         chosen = prime
     family = family_member(chosen)

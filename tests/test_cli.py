@@ -181,6 +181,22 @@ def test_cover_rejects_non_coprime(capsys):
     assert "coprime" in err
 
 
+@pytest.mark.parametrize(
+    "weights, degree, k, reason",
+    [
+        ("1,1,1", "3", "1", "cover exponent must be an integer greater than 1, got 1"),
+        ("1,1,1,1", "4", "3", "covers are built over 3-variable weight systems"),
+    ],
+    ids=["k-below-two", "four-weights"],
+)
+def test_cover_rejects_a_bad_exponent_or_base(capsys, weights, degree, k, reason):
+    argv = ["cover", "--weights", weights, "--degree", degree, "-k", k]
+    code, out, err = run(capsys, *argv, "--format", "json")
+    assert (code, out) == (1, "")
+    assert json.loads(err) == {"class": "InputError", "error": reason, "exit_code": 1}
+    assert run(capsys, *argv, "--format", "text") == (1, "", f"whlink: {reason}\n")
+
+
 def test_cover_skip_direct_path(capsys):
     code, data, _ = run_json(
         capsys,

@@ -36,14 +36,23 @@ def test_build_cover_rejects_shared_factor():
     assert str(excinfo.value) == "cover exponent 3 must be coprime to the degree 3"
 
 
+# cover_weights and cover_divisor take what their callers checked: the
+# base and k are checked where a cover is taken, by both entry points
+ENTRY_POINTS = (build_cover, diagnose_cover)
+
+
 def test_cover_weights_rejects_small_k():
-    with pytest.raises(InputError):
-        cover_weights(CUBIC, 1)
+    for entry in ENTRY_POINTS:
+        with pytest.raises(InputError, match="greater than 1, got 1"):
+            entry(CUBIC, 1)
 
 
 def test_cover_weights_rejects_four_variables():
-    with pytest.raises(InputError):
-        cover_weights(WeightSystem((3, 2, 2, 2), 6), 5)
+    # the number of weights is checked before k
+    for entry in ENTRY_POINTS:
+        for k in (5, 1):
+            with pytest.raises(InputError, match="covers are built over 3-variable weight systems"):
+                entry(WeightSystem((3, 2, 2, 2), 6), k)
 
 
 def test_cover_divisor_cubic():
@@ -58,8 +67,9 @@ def test_cover_divisor_p7():
 
 @pytest.mark.parametrize("k", [1, True, 0, -3, 2.0])
 def test_cover_divisor_rejects_exponents_below_two(k):
-    with pytest.raises(InputError, match="greater than 1"):
-        cover_divisor(OrlikDivisor({3: 3, 1: -1}), k)
+    for entry in ENTRY_POINTS:
+        with pytest.raises(InputError, match="greater than 1"):
+            entry(CUBIC, k)
 
 
 def test_cover_divisor_annihilates_zero():
@@ -136,7 +146,7 @@ def test_diagnose_cover_bounds_the_cover_digits():
         diagnose_cover(CUBIC, 3 * 10**4400)
     # past the bound and sharing a factor with the degree: the bound is reported
     with pytest.raises(InputError, match="more than 4000 digits"):
-        cover_weights(CUBIC, 3 * 10**4400)
+        build_cover(CUBIC, 3 * 10**4400)
 
 
 def test_cover_records_read_the_torsion_order_once(monkeypatch):

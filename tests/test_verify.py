@@ -32,6 +32,16 @@ from whlink.verify import (
 from whlink.weights import WeightSystem
 
 
+def test_cover_cells_do_not_recheck_their_bounded_inputs(monkeypatch):
+    # run_verification caps d and k; a cover cell builds its system without
+    # the checks build_cover and diagnose_cover run on what a user passes
+    calls = []
+    monkeypatch.setattr("whlink.cover.require_int", lambda *args: calls.append(args))
+    monkeypatch.setattr("whlink.cover.require_digits", lambda *args: calls.append(args))
+    assert check_cover_two_path(build_grid(12)[0], 5).ok
+    assert calls == []
+
+
 def test_cover_two_path_counts_a_wrong_relation_path(plant_cover_fault):
     plant_cover_fault("whlink.verify")
     check = check_cover_two_path(build_grid(6)[0], 5)
