@@ -26,7 +26,7 @@ from functools import cache
 
 from .cover import build_cover
 from .errors import CrossCheckError, InputError, WhlinkError
-from .invariants import link_divisor, link_invariants
+from .invariants import genus_betti_check, link_divisor, link_invariants
 from .primes import primes_4l_minus_1
 from .realization import realize, search_weight_systems
 from .smale import smale_decompositions
@@ -96,7 +96,8 @@ def _system_from_args(args) -> WeightSystem:
 def _cmd_genus(args) -> tuple:
     ws = _system_from_args(args)
     g = ws.genus()
-    link_divisor(ws)
+    if error := genus_betti_check(ws, g, link_divisor(ws)):
+        raise error
     fano = ws.fano_index()
     payload = {**ws.as_json(), "genus": g, "fano_index": fano}
     return payload, lambda: print(f"{ws}: genus {g}, Fano index {fano}")

@@ -15,14 +15,13 @@ answered with less than certainty.
 ``factorize`` strips the primes below 2**10 with one gcd against their
 product, splits what is left with Pollard's rho in Brent's form (BIT 20,
 1980) wherever ``is_prime`` can certify the pieces, and trial-divides up to
-10**6 where it cannot.  A number is accepted when every prime found is
-certified, by ``is_prime`` or by the trial division that found it.
+10**6 where it cannot.  A number is accepted when ``is_prime`` certifies
+every piece that neither the gcd nor trial division divided out.
 """
 
 from __future__ import annotations
 
 from functools import cache
-from itertools import pairwise
 from math import gcd, isqrt, prod
 
 from .errors import ConsistencyError, InputError, require_int
@@ -128,26 +127,28 @@ def primes_4l_minus_1(limit: int) -> list:
     return [p for p in range(3, limit + 1, 4) if flags[p]]
 
 
+def _divide_out(n: int, p: int):
+    """n with every factor p divided out, and how many there were."""
+    e = 0
+    while n % p == 0:
+        n //= p
+        e += 1
+    return n, e
+
+
 def _trial_divide(rest: int):
     """Divide each odd f from 1025 on below 10**6 out of ``rest``, free of primes below 2**10.
 
-    Stops early once f * f > rest, when what is left is 1 or a prime; that
-    prime is then a factor found too.  Returns the (factor, exponent) pairs
-    found and what is left, 1 after an early stop.
+    Stops once f * f > rest.  Returns the (factor, exponent) pairs found and
+    what is left, which ``factorize`` hands to ``is_prime``.
     """
     out = []
     f = _SMALL_PRIME_LIMIT + 1
     while f * f <= rest and f < _TRIAL_LIMIT:
         if rest % f == 0:
-            e = 0
-            while rest % f == 0:
-                rest //= f
-                e += 1
+            rest, e = _divide_out(rest, f)
             out.append((f, e))
         f += 2
-    if f * f > rest > 1:
-        out.append((rest, 1))
-        rest = 1
     return out, rest
 
 
@@ -196,28 +197,23 @@ def _strip_small_primes(k: int):
     """Divide every prime below 2**10 out of k: (pairs found, what is left).
 
     k is an int >= 1, as ``factorize``'s caller checks.  g = gcd(k, the
-    product of those primes) is squarefree, and only the primes dividing g
-    are divided out.  ``factorize`` certifies what is left like any piece.
+    product of those primes) is squarefree, and each prime dividing it is
+    divided out of k as it is found.  ``factorize`` certifies what is left.
     """
     small, primorial = _small_primes()
     g = gcd(k, primorial)
-    divisors = []
+    found = []
     for p in small:
         if p * p > g:
             break
         if g % p == 0:
             g //= p
-            divisors.append(p)
+            k, e = _divide_out(k, p)
+            found.append((p, e))
     if g > 1:
-        # squarefree with no prime factor up to its square root
-        divisors.append(g)
-    found = []
-    for p in divisors:
-        e = 0
-        while k % p == 0:
-            k //= p
-            e += 1
-        found.append((p, e))
+        # squarefree, with no prime factor up to its square root: a prime
+        k, e = _divide_out(k, g)
+        found.append((g, e))
     return found, k
 
 
@@ -228,12 +224,11 @@ def factorize(k: int) -> list:
     split by Brent's rho into pieces ``is_prime`` certifies.  A piece rho
     cannot split, or one past ``is_prime``'s range, is trial-divided up to
     10**6, and what that leaves of it must be 1 or a prime ``is_prime``
-    certifies.  So k is accepted iff every prime found is certified.  Let r
-    be k with every prime factor below 10**6 divided out: a composite that
-    is left is rejected as an out-of-range cofactor r, and one past
-    ``is_prime``'s range gets its error.  The answer is checked to multiply
-    back to k before it is returned; ``ConsistencyError`` if it does not.
-    k is an int >= 1, as ``smale_decompositions`` checks.
+    certifies.  The pairs must multiply back to k, else ``ConsistencyError``.
+    Let r be k with every prime factor below 10**6 divided out: a composite
+    that is left is rejected as an out-of-range cofactor r, and one past
+    ``is_prime``'s range gets its error.  k is an int >= 1, as
+    ``smale_decompositions`` checks.
     """
     found, rest = _strip_small_primes(k)
     pieces = [rest] if rest > 1 else []
@@ -252,16 +247,16 @@ def factorize(k: int) -> list:
         more, n = _trial_divide(n)
         found += more
         if n > 1:
-            # no prime factor below 10**6 is left in n, which is certified below
+            # trial division left n, which is certified below
             found.append((n, 1))
             unsplit.append(n)
-    if not all(map(is_prime, unsplit)):
-        r = prod(p**e for p, e in found if p >= _TRIAL_LIMIT)
-        raise InputError(f"cannot factor {k}: cofactor {r} is out of range")
     exponents = {}
     for p, e in found:
         exponents[p] = exponents.get(p, 0) + e
     out = sorted(exponents.items())
-    if prod(p**e for p, e in out) != k or any(a >= b for (a, _), (b, _) in pairwise(out)):
-        raise ConsistencyError(f"factorizing {k} gave {out}, not ascending primes with product {k}")
+    if prod(p**e for p, e in out) != k:
+        raise ConsistencyError(f"factorizing {k} gave {out}, whose product is not {k}")
+    if not all(map(is_prime, unsplit)):
+        r = prod(p**e for p, e in out if p >= _TRIAL_LIMIT)
+        raise InputError(f"cannot factor {k}: cofactor {r} is out of range")
     return out

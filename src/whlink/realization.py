@@ -25,7 +25,7 @@ from .errors import (
     NotASmoothCurveError,
     require_int,
 )
-from .invariants import link_divisor
+from .invariants import genus_betti_check, link_divisor
 from .smale import SmaleManifold, smale_decompositions
 from .primes import is_prime
 from .weights import WeightSystem, genus_formula
@@ -166,13 +166,18 @@ MAX_SEARCH_DEGREE = 64
 def search_weight_systems(target_genus: int, max_degree: int) -> list:
     """All sorted 3-variable systems of the given genus up to max_degree.
 
-    Only systems that pass ``link_divisor`` are listed.  Results are
-    ordered by degree, then lexicographically by weights.  A
-    ``max_degree`` above ``MAX_SEARCH_DEGREE`` is rejected, not scanned.
+    Only systems that pass ``link_divisor`` are listed, and each must pass
+    ``genus_betti_check``.  Results are ordered by degree, then
+    lexicographically by weights.  A ``max_degree`` above
+    ``MAX_SEARCH_DEGREE`` is rejected, not scanned.
     """
     require_int(target_genus, 0, "target genus must be a non-negative integer")
     require_int(max_degree, 3, "max degree must be an integer >= 3")
     if max_degree > MAX_SEARCH_DEGREE:
         raise InputError(f"max degree must be at most {MAX_SEARCH_DEGREE}, got {max_degree}")
     systems = iter_integral_genus_systems(max_degree, target_genus)
-    return [ws for ws, _g, div in systems if div is not None]
+    listed = [(ws, g, div) for ws, g, div in systems if div is not None]
+    for row in listed:
+        if error := genus_betti_check(*row):
+            raise error
+    return [ws for ws, _g, _div in listed]

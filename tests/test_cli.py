@@ -375,6 +375,31 @@ def test_smale_enum_with_a_wrong_splitter_exits_2(capsys, monkeypatch):
         assert_error_line(fmt, err, 2, f"factorizing {k} gave", errors.ConsistencyError)
 
 
+def test_a_wrong_genus_formula_exits_2_wherever_a_genus_is_printed(capsys, monkeypatch):
+    # a genus one too big passes every check of the formula itself; b_1 = 2g,
+    # which link, genus and search all raise on, catches it
+    from whlink import realization, weights
+
+    formula = weights.genus_formula
+
+    def one_too_big(*args):
+        g = formula(*args)
+        return None if g is None else g + 1
+
+    for module in (weights, realization):
+        monkeypatch.setattr(module, "genus_formula", one_too_big)
+    for argv in (
+        ("link", "--weights", "1,1,1", "--degree", "3"),
+        ("genus", "--weights", "1,1,1", "--degree", "3"),
+        ("search", "--genus", "2", "--max-degree", "6"),
+    ):
+        for fmt in ("json", "text"):
+            code, out, err = run(capsys, *argv, "--format", fmt)
+            assert (code, out) == (2, "")
+            reason = "w=(1,1,1; d=3): multiplicity 2 != 2 * genus 2"
+            assert_error_line(fmt, err, 2, reason, errors.CrossCheckError)
+
+
 def test_verify_failure_is_an_error_line(capsys, monkeypatch):
     from whlink.verify import PropertyCheck, VerificationReport
 

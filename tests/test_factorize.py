@@ -104,6 +104,10 @@ EDGE_SHAPES = [
     2 * 3 * 5 * prevprime(1025**2),
     1031 * 1033,
     1031**2,
+    # powers of the one odd prime between 1024 and 10**6 whose square rho
+    # cannot split: trial division finds it
+    86257**2,
+    86257**3,
 ]
 
 
@@ -140,6 +144,35 @@ def test_certified_composite_cofactors_are_accepted():
     # rho must split off a prime past 4 * 10**6 here
     assert factorize(85319556368507) == [(4121561, 1), (20700787, 1)]
     assert factorize(91305213098051) == [(9421591, 1), (9691061, 1)]
+
+
+def test_trial_division_finds_what_rho_cannot_split():
+    # Brent's rho, as factorize runs it, splits p**2 for every other odd
+    # prime p between 1024 and 10**6
+    for e in (2, 3):
+        assert primes._brent_rho(86257**e) is None
+        assert factorize(86257**e) == [(86257, e)]
+
+
+def test_is_prime_certifies_what_trial_division_leaves(monkeypatch):
+    # with rho out of the way, trial division finds 1031 and stops there,
+    # leaving 1000003 for is_prime to certify or refuse
+    k = 1031 * 1000003
+    asked = []
+    certify = primes.is_prime
+
+    def recorded(n):
+        asked.append(n)
+        return certify(n)
+
+    monkeypatch.setattr(primes, "_brent_rho", lambda n: None)
+    monkeypatch.setattr(primes, "is_prime", recorded)
+    assert factorize(k) == [(1031, 1), (1000003, 1)]
+    assert 1000003 in asked
+    monkeypatch.setattr(primes, "is_prime", lambda n: n != 1000003 and certify(n))
+    with pytest.raises(InputError) as exc:
+        factorize(k)
+    assert str(exc.value) == "cannot factor 1031003093: cofactor 1000003 is out of range"
 
 
 def test_composite_cofactor_is_named():
