@@ -50,8 +50,11 @@ def _json_text(value, pad: str) -> str:
 
     ``json.dumps`` with an ``indent`` runs CPython's pure-Python encoder;
     this prints the same bytes, and joins a list of strings, the bulk of
-    most payloads, in one C-level call.  A non-``str`` dict key raises
-    ``TypeError``.
+    most payloads, in C-level calls.  ``_quote`` escapes exactly ``"``,
+    ``\\`` and every character outside 0x20-0x7e, so a list whose joined
+    text has none of them, such as ``delta_poly``'s digit strings, is
+    joined between plain quotes without quoting each item.  A non-``str``
+    dict key raises ``TypeError``.
     """
     if isinstance(value, str):
         return _quote(value)
@@ -69,9 +72,14 @@ def _json_text(value, pad: str) -> str:
         if not value:
             return "[]"
         try:
-            body = sep.join(map(_quote, value))
+            plain = "".join(value)
         except TypeError:  # not all strings
             body = sep.join([_json_text(item, inner) for item in value])
+        else:
+            if plain.isascii() and plain.isprintable() and '"' not in plain and "\\" not in plain:
+                body = '"' + ('"' + sep + '"').join(value) + '"'
+            else:
+                body = sep.join(map(_quote, value))
         return f"[\n{inner}{body}\n{pad}]"
     if isinstance(value, dict):
         if not value:

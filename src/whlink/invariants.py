@@ -178,6 +178,23 @@ def oracle_expand(div: OrlikDivisor) -> list:
     return num
 
 
+def _decimal_strings(p: list) -> list:
+    """``[str(c) for c in p]``, with each string of a palindrome formed once.
+
+    p = prod_j (t^j - 1)^{c_j} has t^D p(1/t) = (-1)^b p(t), b = sum_j c_j,
+    so every link of three weights (b = 2g) and every cover (b = 0) is a
+    palindrome: the bottom ceil(n/2) strings are formed and mirrored.  The
+    symmetry is tested, not assumed, as a ``LinkInvariants`` can be built
+    by hand; odd b, such as (1,1; 4), and any other list take the plain
+    conversion.
+    """
+    n = len(p)
+    if p != p[::-1]:
+        return list(map(str, p))
+    half = list(map(str, p[: n - n // 2]))
+    return half + half[: n // 2][::-1]
+
+
 class LinkInvariants(NamedTuple):
     """Everything the divisor pipeline knows about the link of ``system``.
 
@@ -196,14 +213,18 @@ class LinkInvariants(NamedTuple):
     genus: int | None
 
     def as_json(self) -> dict:
+        """The record as ``--format json`` prints it, big integers as base-10 strings.
+
+        ``delta_poly`` is ``[str(c) for c in char_poly]``, built by
+        ``_decimal_strings``, which forms each distinct string of a
+        palindrome once.
+        """
         return {
             **self.system.as_json(),
             "divisor": self.divisor.as_json(),
             "betti": self.multiplicity_of_unity,
             "genus": self.genus,
-            "delta_poly": None
-            if self.char_poly is None
-            else [str(c) for c in self.char_poly],
+            "delta_poly": None if self.char_poly is None else _decimal_strings(self.char_poly),
             "delta_at_one": None if self.delta_at_one is None else str(self.delta_at_one),
         }
 

@@ -25,6 +25,8 @@ trees = st.recursive(
     lambda children: st.lists(children)
     | st.lists(children).map(tuple)
     | st.lists(texts)
+    # delta_poly's digit strings, and now and then a character _quote escapes
+    | st.lists(st.integers().map(str) | st.sampled_from('"\\\x00\n\x7fé'))
     | st.dictionaries(texts, children),
     max_leaves=40,
 )
@@ -79,6 +81,10 @@ def test_emitter_refuses_a_non_string_key():
     [
         ('sep = ",\\n" + inner', 'sep = ", \\n" + inner'),  # ", " as the item separator
         ("for k in sorted(value)", "for k in value"),  # keys left unsorted
+        # strings joined between plain quotes though one holds a '"', or a
+        # control character
+        ("plain.isprintable() and '\"' not in plain", "plain.isprintable()"),
+        ("plain.isascii() and plain.isprintable()", "plain.isascii()"),
     ],
 )
 def test_planted_fault_fails_the_property(correct, planted):
@@ -88,3 +94,26 @@ def test_planted_fault_fails_the_property(correct, planted):
     exec(source.replace(correct, planted), namespace)
     faulty = namespace["_json_text"]
     find(trees, lambda payload: not agrees(lambda p: print(faulty(p, "")), payload))
+
+
+def test_a_cover_quotes_its_keys_not_its_coefficients(monkeypatch):
+    # _quote runs on each dict key and each string a dict holds, never on a
+    # coefficient: the base link's Delta has 8401 of them
+    calls = []
+    quote = cli._quote
+    monkeypatch.setattr(cli, "_quote", lambda s: calls.append(s) or quote(s))
+    argv = ["cover", "--weights", "1,1,3", "--degree", "31", "-k", "158", "--format", "json"]
+    out = io.StringIO()
+    with redirect_stdout(out):
+        assert cli.main(argv) == 0
+    payload = json.loads(out.getvalue())
+
+    def keys_and_strings(value) -> int:
+        if isinstance(value, dict):
+            return sum(1 + isinstance(v, str) + keys_and_strings(v) for v in value.values())
+        if isinstance(value, list):
+            return sum(map(keys_and_strings, value))
+        return 0
+
+    assert len(payload["base"]["delta_poly"]) == 8401
+    assert len(calls) == keys_and_strings(payload) == 49

@@ -6,10 +6,12 @@ from math import comb, gcd
 import pytest
 
 from whlink import (
+    LinkInvariants,
     NotAPolynomialError,
     NotASmoothCurveError,
     OrlikDivisor,
     WeightSystem,
+    build_cover,
     link_invariants,
 )
 from whlink import polynomials as poly
@@ -253,3 +255,46 @@ def test_json_report_shape():
     assert report["delta_at_one"] is None
     assert report["delta_poly"][-1] == "1"
     assert {"j": 7, "num": "3", "den": "1"} in report["divisor"]
+
+
+def prints_char_poly(inv) -> bool:
+    return inv.as_json()["delta_poly"] == [str(c) for c in inv.char_poly]
+
+
+def test_json_delta_poly_over_the_grid_and_its_covers():
+    # b = 2g for three weights and b = 0 for a cover: every one is a palindrome
+    grid, _skipped = build_grid(16)
+    records = [invariants_from_divisor(ws, div) for ws, _g, div in grid]
+    records += [
+        build_cover(ws, k, skip_direct_path=True).invariants
+        for ws, _g, _div in grid
+        for k in range(2, 13)
+        if gcd(ws.degree, k) == 1
+    ]
+    expanded = [inv for inv in records if inv.char_poly is not None]
+    assert len(expanded) == 5277
+    assert all(map(prints_char_poly, expanded))
+
+
+@pytest.mark.parametrize(
+    "char_poly",
+    [
+        [7],  # a mirror that doubles the middle of an odd list makes it [7, 7]
+        [-2, -2],
+        [3, -5, 3],
+        [1, 10**30, 10**30, 1],
+        [1, 2, 3],  # not a palindrome
+    ],
+)
+def test_json_delta_poly_of_a_hand_built_record(char_poly):
+    inv = LinkInvariants(POINCARE, POINCARE_DIVISOR, 0, char_poly, 1, 0)
+    assert prints_char_poly(inv)
+
+
+@pytest.mark.parametrize("weights", [(1, 1), (1, 1, 1, 1)])
+def test_json_delta_poly_with_an_odd_betti_number(weights):
+    # t^D p(1/t) = -p(t): the expansion is anti-palindromic
+    inv = link_invariants(WeightSystem(weights, 4))
+    assert inv.multiplicity_of_unity % 2 == 1
+    assert inv.char_poly == [-c for c in reversed(inv.char_poly)]
+    assert prints_char_poly(inv)
