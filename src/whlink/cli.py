@@ -48,13 +48,12 @@ _quote = json.encoder.encode_basestring_ascii
 def _json_text(value, pad: str) -> str:
     """``value`` as ``json.dumps(value, indent=2, sort_keys=True)`` prints it, nested at ``pad``.
 
-    ``json.dumps`` with an ``indent`` runs CPython's pure-Python encoder;
-    this prints the same bytes, and joins a list of strings, the bulk of
-    most payloads, in C-level calls.  ``_quote`` escapes exactly ``"``,
-    ``\\`` and every character outside 0x20-0x7e, so a list whose joined
-    text has none of them, such as ``delta_poly``'s digit strings, is
-    joined between plain quotes without quoting each item.  A non-``str``
-    dict key raises ``TypeError``.
+    ``value`` holds only payload types: dicts with ``str`` keys, lists,
+    strings, ints, bools and None; anything else, a tuple or a float
+    among them, raises ``TypeError``.  ``json.dumps`` with an ``indent``
+    runs the pure-Python encoder; this prints its bytes, but joins a list
+    of strings that ``_quote`` leaves as they are, such as ``delta_poly``'s
+    digit strings, between plain quotes in C-level calls.
     """
     if isinstance(value, str):
         return _quote(value)
@@ -68,25 +67,24 @@ def _json_text(value, pad: str) -> str:
         return int.__repr__(value)
     inner = pad + "  "
     sep = ",\n" + inner
-    if isinstance(value, (list, tuple)):
+    if isinstance(value, list):
         if not value:
             return "[]"
         try:
             plain = "".join(value)
         except TypeError:  # not all strings
-            body = sep.join([_json_text(item, inner) for item in value])
+            plain = None
+        if plain is not None and len(_quote(plain)) == len(plain) + 2:  # nothing escaped
+            body = '"' + ('"' + sep + '"').join(value) + '"'
         else:
-            if plain.isascii() and plain.isprintable() and '"' not in plain and "\\" not in plain:
-                body = '"' + ('"' + sep + '"').join(value) + '"'
-            else:
-                body = sep.join(map(_quote, value))
+            body = sep.join([_json_text(item, inner) for item in value])
         return f"[\n{inner}{body}\n{pad}]"
     if isinstance(value, dict):
         if not value:
             return "{}"
         body = sep.join([f"{_quote(k)}: {_json_text(value[k], inner)}" for k in sorted(value)])
         return f"{{\n{inner}{body}\n{pad}}}"
-    return json.dumps(value)
+    raise TypeError(f"a payload holds no {type(value).__name__}")
 
 
 def _emit_json(payload: dict) -> None:

@@ -10,7 +10,7 @@ from math import lcm, prod
 
 import pytest
 
-from whlink import errors
+from whlink import cli, errors
 from whlink.cli import build_parser, main
 
 
@@ -448,6 +448,44 @@ def test_verify_with_a_wrong_relation_path_prints_then_exits_2(capsys, plant_cov
     assert code == 2
     assert "cover_two_path: " in out and "failures [FAILED]" in out
     assert_error_line("text", err, 2, "verification failed")
+
+
+def test_every_payload_holds_only_payload_types(capsys, monkeypatch, plant_cover_fault):
+    # _emit_json refuses any other type, so each README command's payload,
+    # and a failed verify's, whose failure texts are the only free text a
+    # payload holds, must be dicts with str keys, lists, strings, ints,
+    # bools and None all the way down
+    payloads = []
+    emit = cli._emit_json
+    monkeypatch.setattr(cli, "_emit_json", lambda p: payloads.append(p) or emit(p))
+
+    def payload_types_only(value) -> bool:
+        if isinstance(value, dict):
+            return all(type(k) is str and payload_types_only(v) for k, v in value.items())
+        if isinstance(value, list):
+            return all(map(payload_types_only, value))
+        return value is None or type(value) in (str, int, bool)
+
+    commands = [
+        ["genus", "--weights", "1,2,3", "--degree", "7"],
+        ["link", "--weights", "15,10,6", "--degree", "30"],
+        ["cover", "--weights", "1,1,1", "--degree", "3", "-k", "2"],
+        ["cover", "--weights", "1,1,1", "--degree", "3", "-k", "2", "--skip-direct-path"],
+        ["realize", "8"],
+        ["realize", "8", "--prime", "7"],
+        ["smale-enum", "64"],
+        ["primes", "--limit", "100"],
+        ["search", "--genus", "1", "--max-degree", "12"],
+        ["verify", "--max-degree", "12"],
+    ]
+    assert [run(capsys, *argv, "--format", "json")[0] for argv in commands] == [0] * len(commands)
+    plant_cover_fault("whlink.verify")
+    code, out, _err = run(capsys, "verify", "--max-degree", "12", "--format", "json")
+    assert code == 2
+    assert out == json.dumps(json.loads(out), indent=2, sort_keys=True) + "\n"
+    assert len(payloads) == len(commands) + 1
+    assert any(check["failures"] for check in payloads[-1]["properties"])
+    assert all(map(payload_types_only, payloads))
 
 
 # an empty PYTHONUNBUFFERED leaves stdout block-buffered, so a short output
